@@ -47,6 +47,7 @@ from repro.common.errors import (
     DiskCrashedError,
     MediaError,
 )
+from repro.common.frames import BusyTimeline
 from repro.common.metrics import Metrics
 from repro.common.trace import NULL_TRACER
 from repro.disk_service.addresses import Extent
@@ -57,7 +58,6 @@ from repro.simdisk.disk import SimDisk
 from repro.simdisk.faults import FaultInjector
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.stable import StableStore
-from repro.simdisk.timeline import DiskTimeline
 from repro.simdisk.timing import DiskTimingModel
 from repro.simkernel.loop import EventLoop
 
@@ -197,7 +197,7 @@ class _LegacyDisk:
         self.tracer = NULL_TRACER
         self.timing = DiskTimingModel()
         self.faults = FaultInjector()
-        self.timeline = DiskTimeline(clock)
+        self.timeline = BusyTimeline(clock)
         self._legacy_geometry = _LegacyGeometry(geometry)
         self._by_sector: Dict[int, bytes] = {}
         self._head_cylinder = 0

@@ -3,58 +3,48 @@
 The crash-point sweep (:mod:`repro.chaos.sweep`) proves a single
 volume recovers from a crash at *any* physical write.  This campaign
 proves the complementary claim: the assembled facility stays **usable
-while volumes crash and recover mid-workload** — the paper's
+while components fail and recover mid-workload** — the paper's
 "operational in the face of various failures" promise, measured.
 
-Each scenario builds a full :class:`~repro.cluster.system.RhodosCluster`
-(three volumes, replication degree two, RPC bus with fault injection,
-exponential backoff, circuit breaker feeding the health registry) and
-runs a seeded mixed read/write workload while a
-:class:`~repro.recovery.schedule.FailureSchedule` takes volumes down
-and brings them back.  Three SLO invariants are asserted:
+Every scenario is one :class:`Scenario` — plain data: a
+:class:`~repro.cluster.config.ClusterConfig` override set, a
+:class:`~repro.recovery.schedule.FailureSchedule` script, a workload
+and the SLO checks its verdict rests on — and every scenario runs
+through the one driver, :func:`run_scenario`: build the cluster, then
+per think-step poll the schedule, pump RAID rebuilds and step the
+workload; run the script out, converge (deliver parked messages,
+resync stale replicas, sweep orphans, finish rebuilds), run the SLO
+checks, report.  The catalogue covers five failure families:
 
-* **durability** — no acknowledged write is ever lost: after the last
-  restart, every replica and the unreplicated bus-served file hold
-  exactly the acknowledged content.  (Crashes land *between*
-  operations — the single-threaded scheduler cannot crash inside a
-  physical write — so this is op-granularity atomicity; sub-write
-  torn-crash coverage belongs to the crash-point sweep.)
-* **freshness** — reads are monotone and never stale: a replicated
-  read always observes at least the last acknowledged version, and
-  observed versions never go backwards (no stale-then-fresh-then-stale
-  oscillation during failover or resync).
-* **bounded unavailability** — every failed operation falls inside a
-  scheduled downtime window extended by a *parametric* recovery
-  allowance computed from the breaker cooldown, the worst-case failing
-  call (breaker threshold x (timeout + max backoff)), and bus latency.
-  Unavailability is bounded by configuration, not by luck.
-
-Two further scenarios (``scrub_latent_rot``, ``scrub_media_errors``)
-measure the media-failure SLOs instead of crash windows: deterministic
-corruption is injected into one volume's checksummed fragments and the
-background scrubber must find and repair **100 %** of it within a
-bounded number of cycles — from the stable-storage mirror where one
-exists, else from a peer replica via
-:meth:`~repro.replication.service.ReplicationService.quarantine_volume_media`
-— while **no corrupt byte ever reaches a client or the track cache**
-(every read during the campaign is byte-checked).
-
-The RAID scenarios (``raid_member_loss``, ``raid_rebuild_interrupted``)
-measure the redundancy tier *below* volume replication: a volume whose
-data disk is a RAID-5 :class:`~repro.simdisk.raid.StripedVolume` loses
-member drives mid-workload via scripted
-:class:`~repro.recovery.schedule.MemberFailureEvent` entries.  Unlike a
-volume crash there is **no downtime window at all** — the SLOs are that
-every operation succeeds throughout (reads never unavailable, zero
-acked-write loss), the array walks OPTIMAL → DEGRADED → REBUILDING →
-OPTIMAL, and losing the rebuild target mid-rebuild degrades again
-rather than failing.  A destructive finale then exhausts redundancy on
-purpose: with two members dead the array must report FAILED and *every*
-read must raise — stale or reconstructed-from-garbage bytes are the one
-unforgivable outcome.
+* **volume crashes** (``mixed`` workload over three volumes,
+  replication degree two, a faulty RPC bus with backoff and a circuit
+  breaker): no acknowledged write is ever lost (op-granularity: crashes
+  land *between* operations, sub-write tears belong to the sweep);
+  replicated reads are monotone and never stale; and every failed
+  operation falls inside a scheduled downtime window extended by a
+  *parametric* recovery allowance (:func:`recovery_allowance_us`) —
+  unavailability bounded by configuration, not by luck.
+* **media corruption** (``rot`` / ``media``): deterministic at-rest rot
+  or latent unreadable sectors on one volume; the background scrubber
+  must find and repair **100 %** of it within a bounded number of
+  cycles while **no corrupt byte ever reaches a client or the track
+  cache**.
+* **RAID member loss** (``raid``): a RAID-5 volume loses member drives
+  mid-workload.  There is no downtime window at all — every operation
+  must succeed, the array walks OPTIMAL → DEGRADED → REBUILDING →
+  OPTIMAL, and losing the rebuild target degrades rather than fails.
+  An optional finale exhausts redundancy on purpose: with two members
+  dead every read must raise.
+* **shard death** (``storm``): a naming shard server dies mid-metadata
+  storm; acked names always resolve (failover to the replica peer) and
+  bind failures stay inside the kill window plus allowance.
+* **interrupted rebalance** (``rebalance``): an online migration's
+  destination dies mid-stream; the migration aborts with zero resolve
+  misses and re-runs to cutover after the restart.
 
 Reports are byte-deterministic: the same seed emits the identical JSON
-document, which CI diffs across a double run.
+document, and ``--all`` reproduces the committed
+``AVAILABILITY_pr10.json`` byte for byte.
 """
 
 from __future__ import annotations
@@ -63,16 +53,16 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import RhodosCluster
 from repro.common.errors import MediaError, ReplicationError, RhodosError, RpcError
 from repro.common.units import BLOCK_SIZE
 from repro.disk_service.addresses import Extent
-from repro.disk_service.scrub import Scrubber, ScrubFinding
+from repro.disk_service.scrub import Scrubber
 from repro.file_service.cache import WritePolicy
 from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
@@ -80,6 +70,7 @@ from repro.recovery.schedule import (
     FailureEvent,
     FailureSchedule,
     MemberFailureEvent,
+    ScheduledEvent,
     ShardFailureEvent,
 )
 from repro.replication.service import volume_component
@@ -95,6 +86,15 @@ from repro.verify.fsck import verify_checksums
 REPLICATED_LEN = 96
 AGENT_LEN = 64
 
+#: The replicated files of the ``mixed`` workload.
+REPLICATED_FILES = ("/availability/r0", "/availability/r1")
+
+#: Checksummed fragments the scrub scenarios corrupt on volume 0, and
+#: the scrub cycles within which the volume must verify clean.
+SCRUB_TARGETS = 4
+SCRUB_MAX_CYCLES = 3
+SCRUB_FILE_BLOCKS = 4
+
 
 def version_content(version: int, length: int) -> bytes:
     """Deterministic content encoding one version (never the zero byte,
@@ -103,247 +103,65 @@ def version_content(version: int, length: int) -> bytes:
 
 
 def decode_version(data: bytes, reference: int) -> Optional[int]:
-    """Invert :func:`version_content` near a known reference version."""
+    """Invert :func:`version_content` against the acked ``reference``.
+
+    The content byte fixes the version modulo 251.  Writes go one
+    version at a time, so a read runs ahead of the acked version by at
+    most one (a write applied but not yet acked); any other match is
+    the candidate at or below the reference, up to 249 versions behind
+    it (250 behind aliases one ahead), which is what a stale read looks
+    like — unless that candidate is negative and so not a version.
+    """
     if not data:
         return None
     byte = data[0]
-    if any(b != byte for b in data):
-        return None  # torn content: not any whole version
-    for version in range(max(0, reference - 250), reference + 251):
-        if version % 251 + 1 == byte:
-            candidate = version
-            # The highest candidate <= reference + 250 closest to the
-            # reference is the plausible one; versions only move in
-            # small steps between reads, so the first match in range
-            # suffices and stays deterministic.
-            return candidate
-    return None
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One cell of the campaign grid: a fault profile x a crash script."""
-
-    name: str
-    profile: FaultProfile
-    events: Tuple[FailureEvent, ...]
-    steps: int
-    think_us: int = 5_000
-    seed: int = 0
-    description: str = ""
+    if any(b != byte for b in data) or not 1 <= byte <= 251:
+        return None  # torn content, or not any whole version
+    below = reference - (reference - (byte - 1)) % 251
+    if below < 0 or below + 251 == reference + 1:
+        return below + 251
+    return below
 
 
 BACKOFF = BackoffPolicy(base_us=5_000, multiplier=2.0, max_us=40_000, jitter=0.5)
 BREAKER = BreakerPolicy(threshold=4, cooldown_us=150_000)
 
-#: Crash volume 0 once, then volume 1, windows disjoint so one replica
-#: of every replicated file is live at all times.
-ALTERNATING = (
-    FailureEvent(at_us=300_000, volume_id=0, down_us=400_000),
-    FailureEvent(at_us=1_400_000, volume_id=1, down_us=400_000),
-)
-
-#: Volume 0 crashes twice with a short recovered gap in between: the
-#: second crash hits while the breaker's memory of the first is fresh.
-BACK_TO_BACK = (
-    FailureEvent(at_us=300_000, volume_id=0, down_us=300_000),
-    FailureEvent(at_us=1_000_000, volume_id=0, down_us=300_000),
-)
-
-SCENARIOS: Tuple[Scenario, ...] = (
-    Scenario(
-        name="clean_restarts",
-        profile=FaultProfile.reliable(),
-        events=ALTERNATING,
-        steps=420,
-        description="reliable bus; alternating single-volume crashes",
-    ),
-    Scenario(
-        name="lossy_bus",
-        profile=FaultProfile(
-            request_loss=0.05, reply_loss=0.05, duplication=0.02, reorder=0.02
-        ),
-        events=ALTERNATING,
-        steps=420,
-        description="message loss/duplication/reordering during the crashes",
-    ),
-    Scenario(
-        name="reorder_heavy",
-        profile=FaultProfile(duplication=0.05, reorder=0.10),
-        events=(FailureEvent(at_us=500_000, volume_id=0, down_us=400_000),),
-        steps=360,
-        description="heavy reordering; one crash window",
-    ),
-    Scenario(
-        name="back_to_back",
-        profile=FaultProfile(request_loss=0.03, reply_loss=0.03),
-        events=BACK_TO_BACK,
-        steps=420,
-        description="volume 0 crashes twice in quick succession",
-    ),
-)
-
-SMOKE_SCENARIOS = ("clean_restarts", "lossy_bus")
-
 
 @dataclass(frozen=True)
-class ScrubScenario:
-    """One media-failure campaign cell: an injection mode x SLO bounds.
+class Scenario:
+    """One campaign cell, as data.
 
     Attributes:
-        kind: ``"rot"`` (at-rest byte flips) or ``"media"`` (latent
-            unreadable sectors).
-        targets: checksummed fragments corrupted on volume 0, chosen by
-            the seeded :meth:`FaultInjector.pick_targets`.
-        max_cycles: scrub cycles within which the volume must verify
-            clean — the bounded-repair SLO.
+        name / description: the catalogue entry.
+        workload: what the clients do — ``mixed``, ``raid``, ``storm``,
+            ``rebalance``, or a scrub campaign injecting ``rot`` or
+            ``media`` errors (keys of :data:`WORKLOADS`).
+        config: :class:`ClusterConfig` overrides; every scenario runs
+            one client machine with the client cache off.
+        events: the failure script, fired through one
+            :class:`FailureSchedule`.
+        steps / think_us: workload operations, one per think step.
+        seed: seeds the cluster and the workload's choices.
+        checks: the SLO checks run after convergence, in order (keys
+            of :data:`CHECKS`); any finding fails the scenario.
     """
 
     name: str
-    kind: str
-    targets: int = 4
-    max_cycles: int = 3
-    seed: int = 0
-    description: str = ""
-
-
-SCRUB_SCENARIOS: Tuple[ScrubScenario, ...] = (
-    ScrubScenario(
-        name="scrub_latent_rot",
-        kind="rot",
-        description="silent at-rest byte flips; scrub + mirror/replica repair",
-    ),
-    ScrubScenario(
-        name="scrub_media_errors",
-        kind="media",
-        description="latent unreadable sectors; scrub + rewrite repair",
-    ),
-)
-
-SCRUB_SMOKE = tuple(scenario.name for scenario in SCRUB_SCENARIOS)
-
-
-@dataclass(frozen=True)
-class RaidScenario:
-    """One RAID-tier campaign cell: a member kill/replace script.
-
-    Attributes:
-        level: array layout backing every volume's data disk.
-        members: member drives per array.
-        events: the member kill/replace script, fired through the same
-            :class:`FailureSchedule` the volume crashes use.
-        steps: workload operations (one per think-step).
-        exhaust_finale: after the scripted phase converges, kill two
-            members on purpose and demand the array report FAILED and
-            refuse — loudly — to serve a single byte.
-    """
-
-    name: str
-    level: str
-    events: Tuple[MemberFailureEvent, ...]
-    steps: int
-    members: int = 4
-    chunk_sectors: int = 64
-    rebuild_chunks: int = 32
-    exhaust_finale: bool = False
+    description: str
+    workload: str
+    config: Mapping[str, object] = field(default_factory=dict)
+    events: Tuple[ScheduledEvent, ...] = ()
+    steps: int = 0
     think_us: int = 5_000
     seed: int = 0
-    description: str = ""
-
-
-#: One member dies at 300 ms; its blank replacement arrives 400 ms
-#: later and rebuilds in the idle slots between operations.
-SINGLE_MEMBER_LOSS = (
-    MemberFailureEvent(at_us=300_000, volume_id=0, member_index=1, down_us=400_000),
-)
-
-#: Member 2 dies, is replaced, then dies *again* 60 ms into its own
-#: rebuild — the second kill must cancel the rebuild and drop the array
-#: back to degraded, never to FAILED (three healthy members remain).
-REBUILD_INTERRUPTED = (
-    MemberFailureEvent(at_us=200_000, volume_id=0, member_index=2, down_us=300_000),
-    MemberFailureEvent(at_us=560_000, volume_id=0, member_index=2, down_us=340_000),
-)
-
-RAID_SCENARIOS: Tuple[RaidScenario, ...] = (
-    RaidScenario(
-        name="raid_member_loss",
-        level="raid5",
-        events=SINGLE_MEMBER_LOSS,
-        steps=240,
-        description="single member dies under mixed load; degraded "
-        "service, background rebuild, zero unavailability",
-    ),
-    RaidScenario(
-        name="raid_rebuild_interrupted",
-        level="raid5",
-        events=REBUILD_INTERRUPTED,
-        steps=240,
-        exhaust_finale=True,
-        description="rebuild target dies mid-rebuild (degrade, never "
-        "fail); finale exhausts redundancy and demands loud refusal",
-    ),
-)
-
-RAID_SMOKE = tuple(scenario.name for scenario in RAID_SCENARIOS)
-
-
-@dataclass(frozen=True)
-class ShardScenario:
-    """One sharded-namespace campaign cell (PR 10).
-
-    Attributes:
-        kind: ``"storm"`` — a metadata workload over the RPC bus while
-            a :class:`ShardFailureEvent` kills a shard server mid-run —
-            or ``"rebalance"`` — an online migration whose destination
-            dies mid-stream (direct calls; the interruption under test
-            is the shard's, not the bus's).
-        n_shards: shard servers the binding space partitions across.
-        events: the shard kill/restart script (``storm`` only).
-    """
-
-    name: str
-    kind: str
-    profile: FaultProfile
-    events: Tuple[ShardFailureEvent, ...] = ()
-    n_shards: int = 4
-    steps: int = 360
-    think_us: int = 5_000
-    seed: int = 0
-    description: str = ""
-
-
-SHARD_SCENARIOS: Tuple[ShardScenario, ...] = (
-    ShardScenario(
-        name="shard_death_metadata_storm",
-        kind="storm",
-        profile=FaultProfile(
-            request_loss=0.03, reply_loss=0.03, duplication=0.02
-        ),
-        events=(
-            ShardFailureEvent(at_us=400_000, shard_id=1, down_us=400_000),
-        ),
-        description="a shard server dies mid-metadata-storm over a lossy "
-        "bus; resolves fail over to the replica, binds bounded to the "
-        "window, restart resyncs every acked binding",
-    ),
-    ShardScenario(
-        name="rebalance_interrupted",
-        kind="rebalance",
-        profile=FaultProfile.reliable(),
-        n_shards=2,
-        steps=0,
-        description="the migration destination dies mid-stream; the "
-        "migration aborts with zero resolve misses, then re-runs to "
-        "completion after the restart",
-    ),
-)
-
-SHARD_SMOKE = tuple(scenario.name for scenario in SHARD_SCENARIOS)
+    checks: Tuple[str, ...] = ()
 
 
 def recovery_allowance_us(
-    scenario: Scenario, *, timeout_us: int = 20_000
+    scenario: Scenario,
+    profile: Optional[FaultProfile],
+    *,
+    timeout_us: int = 20_000,
 ) -> int:
     """The post-restart grace period failures may legally extend into.
 
@@ -353,12 +171,15 @@ def recovery_allowance_us(
     each a timeout plus the backoff cap), and bus latency plus a few
     think-steps of slack pad the edges.  Everything here is a
     configured constant — the bound is parametric, not empirical.
+    ``profile`` is the cluster's bus profile (``None``: no bus, so no
+    bus latency).
     """
     worst_call_us = BREAKER.threshold * (timeout_us + BACKOFF.max_us)
+    latency_us = profile.latency_us if profile is not None else 0
     return (
         BREAKER.cooldown_us
         + worst_call_us
-        + 4 * scenario.profile.latency_us
+        + 4 * latency_us
         + 10 * scenario.think_us
     )
 
@@ -371,90 +192,192 @@ class _Run:
         self.cluster = RhodosCluster(
             ClusterConfig(
                 n_machines=1,
-                n_disks=3,
-                replication_degree=2,
-                fault_profile=scenario.profile,
-                rpc_backoff=BACKOFF,
-                rpc_breaker=BREAKER,
-                write_policy=WritePolicy.WRITE_THROUGH,
                 client_cache_blocks=0,
                 seed=scenario.seed,
+                **scenario.config,
             )
         )
         self.schedule = FailureSchedule(
-            scenario.events,
-            self.cluster.clock,
-            metrics=self.cluster.metrics,
+            scenario.events, self.cluster.clock, metrics=self.cluster.metrics
         )
         self.rng = random.Random(scenario.seed)
-        self.action_log: List[str] = []
-        # Replicated files: name -> (acked_version, last_observed_version)
-        self.acked: Dict[str, int] = {}
-        self.observed: Dict[str, int] = {}
-        # The unreplicated agent file rides the RPC bus on volume 0 (the
-        # crashed volume) so its traffic exercises breaker + backoff.
-        self.agent_acked: Dict[int, bytes] = {}  # offset -> content
-        self.agent_version = 0
-        # Failure samples: (start_us, end_us, kind)
+        self.agent = self.cluster.machine.file_agent
+        self.log: List[str] = []
+        #: Operation counts the workload reports under ``ops``.
+        self.ops: Dict[str, int] = {}
+        #: Failed operations: (start_us, end_us, kind).
         self.failures: List[Tuple[int, int, str]] = []
-        self.stats = {
-            "replicated_reads": 0,
-            "replicated_writes": 0,
-            "agent_reads": 0,
-            "agent_writes": 0,
-            "failed_ops": 0,
-        }
         self.violations: List[str] = []
-
-    # ------------------------------------------------------- workload
+        #: Set by the ``failures_in_windows`` and
+        #: ``exhausted_array_refuses`` checks.
+        self.unavailability: Optional[Dict[str, object]] = None
+        self.finale: Optional[Dict[str, object]] = None
+        # Replicated files: acked and last observed version per path.
+        self.versions: Dict[str, int] = {}
+        self.observed: Dict[str, int] = {}
+        # The agent file: offset -> acked content.
+        self.descriptor = -1
+        self.agent_acked: Dict[int, bytes] = {}
+        # Naming bindings: path -> (name, target), acked and attempted.
+        self.bindings: Dict[str, Tuple[AttributedName, str]] = {}
+        self.attempted: Dict[str, Tuple[AttributedName, str]] = {}
 
     def run(self) -> Dict[str, object]:
-        cluster, schedule = self.cluster, self.schedule
-        rfiles = ["/availability/r0", "/availability/r1"]
-        for path in rfiles:
-            cluster.replication.create(AttributedName.file(path))
-            self.acked[path] = 0
-            self.observed[path] = 0
-        agent = cluster.machine.file_agent
-        descriptor = agent.create(
-            AttributedName.file("/availability/agent"), volume_id=0
-        )
+        scenario, cluster = self.scenario, self.cluster
+        setup, step, workload_keys = WORKLOADS[scenario.workload]
+        setup(self)
+        for index in range(scenario.steps):
+            self.log.extend(self.schedule.poll(cluster))
+            cluster.step_rebuilds()
+            cluster.clock.advance_us(scenario.think_us)
+            step(self, index)
+        self.log.extend(self.schedule.run_out(cluster))
+        if step is not None:
+            # Script workloads (scrub, rebalance) are checked on the
+            # state exactly as their script left it.
+            self._converge()
+        for check in scenario.checks:
+            CHECKS[check](self)
+        return self._report(workload_keys(self))
 
-        for step in range(self.scenario.steps):
-            self.action_log.extend(schedule.poll(cluster))
-            cluster.clock.advance_us(self.scenario.think_us)
-            choice = self.rng.random()
-            path = rfiles[step % len(rfiles)]
-            if choice < 0.30:
-                self._replicated_write(path)
-            elif choice < 0.60:
-                self._replicated_read(path)
-            elif choice < 0.80:
-                self._agent_write(agent, descriptor)
-            else:
-                self._agent_read(agent, descriptor)
+    def _converge(self) -> None:
+        """Deliver parked messages, let the recovery hooks finish their
+        repairs, then grant rebuilds exclusive slots until whole.
 
-        # Converge: fire any remaining restarts, deliver parked
-        # messages, and let the recovery hooks finish their repairs.
-        self.action_log.extend(schedule.run_out(cluster))
+        Each step is a no-op on a cluster without its subject (no bus,
+        no replicated files, no rebuild in flight), so every operation
+        stream converges the same way.
+        """
+        cluster = self.cluster
         if cluster.bus is not None:
             cluster.bus.drain_delayed()
         cluster.replication.resync_all_stale()
         cluster.replication.sweep_orphans()
-        self._verify_convergence(rfiles, agent, descriptor)
-        return self._report(rfiles)
+        for _ in range(8 * self.scenario.steps):
+            if not cluster.rebuilders:
+                break
+            cluster.clock.advance_us(self.scenario.think_us)
+            cluster.step_rebuilds(force=True)
+        if cluster.rebuilders:
+            self.violations.append("rebuild never completed at run-out")
+
+    def _report(self, workload_keys: Dict[str, object]) -> Dict[str, object]:
+        """The keys every report carries, plus the workload's own."""
+        report: Dict[str, object] = {
+            "description": self.scenario.description,
+            "seed": self.scenario.seed,
+            "status": "pass" if not self.violations else "fail",
+            "violations": list(self.violations),
+        }
+        report.update(workload_keys)
+        return report
+
+    def _lifecycle_keys(self) -> Dict[str, object]:
+        """Report keys of a workload driven through the failure
+        schedule: the script, its lifecycle log and the op counts."""
+        return {
+            "events": [
+                [event.at_us, *event.key, event.down_us]
+                for event in self.scenario.events
+            ],
+            "lifecycle_log": self.log,
+            "ops": dict(sorted(self.ops.items())),
+        }
+
+    def _counters(self, names: Tuple[str, ...]) -> Dict[str, int]:
+        return {name: self.cluster.metrics.get(name) for name in names}
+
+    def _failed(self, start_us: int, op: str, error: Exception, counter: str) -> None:
+        self.ops[counter] += 1
+        self.failures.append(
+            (start_us, self.cluster.clock.now_us, f"{op}:{type(error).__name__}")
+        )
+
+    # ----------------------------------------------------- agent file
+
+    def _open_agent_file(self, path: str) -> None:
+        # Volume 0 is the crashed (or degraded) volume, so the agent
+        # file's traffic exercises breaker, backoff and degraded reads.
+        self.descriptor = self.agent.create(AttributedName.file(path), volume_id=0)
+
+    def _agent_write(self) -> Optional[Exception]:
+        """Write the next version at its own offset; returns the error.
+
+        Distinct per-version offsets make a retry of a write whose
+        reply was lost idempotent.
+        """
+        version = len(self.agent_acked)
+        offset = version * AGENT_LEN
+        content = version_content(version, AGENT_LEN)
+        try:
+            self.agent.pwrite(self.descriptor, content, offset)
+            # Ack-then-fsync: the server's FIT (file size) is write-back,
+            # so a crash could forget the write's extent without this.
+            self.agent.router.flush_volume(0)
+        except (RpcError, RhodosError) as exc:
+            return exc
+        self.agent_acked[offset] = content
+        return None
+
+    def _agent_read(self) -> Tuple[int, Optional[Exception]]:
+        """Read back one acked offset; returns it and the error."""
+        offsets = sorted(self.agent_acked)
+        offset = offsets[self.rng.randrange(len(offsets))]
+        start = self.cluster.clock.now_us
+        try:
+            data = self.agent.pread(self.descriptor, AGENT_LEN, offset)
+        except (RpcError, RhodosError) as exc:
+            return offset, exc
+        if data != self.agent_acked[offset]:
+            self.violations.append(
+                f"t={start}us agent file: acked content lost at offset "
+                f"{offset} ({data[:8]!r}...)"
+            )
+        return offset, None
+
+    # --------------------------------------------- workload: mixed
+
+    def _mixed_setup(self) -> None:
+        for path in REPLICATED_FILES:
+            self.cluster.replication.create(AttributedName.file(path))
+            self.versions[path] = self.observed[path] = 0
+        self._open_agent_file("/availability/agent")
+        self.ops = dict.fromkeys(
+            ("replicated_reads", "replicated_writes", "agent_reads",
+             "agent_writes", "failed_ops"),
+            0,
+        )
+
+    def _mixed_step(self, index: int) -> None:
+        choice = self.rng.random()
+        path = REPLICATED_FILES[index % len(REPLICATED_FILES)]
+        start = self.cluster.clock.now_us
+        if choice < 0.30:
+            self._replicated_write(path)
+        elif choice < 0.60:
+            self._replicated_read(path)
+        elif choice < 0.80:
+            self.ops["agent_writes"] += 1
+            error = self._agent_write()
+            if error is not None:
+                self._failed(start, "agent_write", error, "failed_ops")
+        elif self.agent_acked:
+            self.ops["agent_reads"] += 1
+            _offset, error = self._agent_read()
+            if error is not None:
+                self._failed(start, "agent_read", error, "failed_ops")
 
     def _replicated_write(self, path: str) -> None:
         cluster = self.cluster
-        version = self.acked[path] + 1
+        version = self.versions[path] + 1
         start = cluster.clock.now_us
-        self.stats["replicated_writes"] += 1
+        self.ops["replicated_writes"] += 1
         try:
             cluster.replication.write(
                 AttributedName.file(path), 0, version_content(version, REPLICATED_LEN)
             )
         except (ReplicationError, RpcError) as exc:
-            self._record_failure(start, f"replicated_write:{type(exc).__name__}")
+            self._failed(start, "replicated_write", exc, "failed_ops")
             return
         # Ack-then-fsync: the write counts as acknowledged only once
         # the live replica servers flushed their FIT metadata (data
@@ -464,37 +387,35 @@ class _Run:
         replica_set = cluster.replication.lookup(AttributedName.file(path))
         for system_name in replica_set.replicas:
             volume_id = system_name.volume_id
-            if cluster.health.is_down(f"volume.{volume_id}"):
+            if cluster.health.is_down(volume_component(volume_id)):
                 continue
             try:
                 cluster.file_servers[volume_id].flush()
             except RhodosError:
                 pass
-        self.acked[path] = version
+        self.versions[path] = version
 
     def _replicated_read(self, path: str) -> None:
         cluster = self.cluster
         start = cluster.clock.now_us
-        self.stats["replicated_reads"] += 1
+        self.ops["replicated_reads"] += 1
         try:
             data = cluster.replication.read(
                 AttributedName.file(path), 0, REPLICATED_LEN
             )
         except (ReplicationError, RpcError) as exc:
-            self._record_failure(start, f"replicated_read:{type(exc).__name__}")
+            self._failed(start, "replicated_read", exc, "failed_ops")
             return
-        if data == b"" and self.acked[path] == 0:
+        acked = self.versions[path]
+        if data == b"" and acked == 0:
             return  # nothing acknowledged yet: an empty file is correct
-        version = decode_version(data, self.acked[path])
+        version = decode_version(data, acked)
         if version is None:
-            self.violations.append(
-                f"t={start}us {path}: torn read {data[:8]!r}..."
-            )
+            self.violations.append(f"t={start}us {path}: torn read {data[:8]!r}...")
             return
-        if version < self.acked[path]:
+        if version < acked:
             self.violations.append(
-                f"t={start}us {path}: stale read v{version} < acked "
-                f"v{self.acked[path]}"
+                f"t={start}us {path}: stale read v{version} < acked v{acked}"
             )
         if version < self.observed[path]:
             self.violations.append(
@@ -503,98 +424,348 @@ class _Run:
             )
         self.observed[path] = max(self.observed[path], version)
 
-    def _agent_write(self, agent, descriptor: int) -> None:
-        cluster = self.cluster
-        version = self.agent_version
-        offset = version * AGENT_LEN
-        content = version_content(version, AGENT_LEN)
-        start = cluster.clock.now_us
-        self.stats["agent_writes"] += 1
-        try:
-            agent.pwrite(descriptor, content, offset)
-            # Ack-then-fsync: the server's FIT (file size) is write-back,
-            # so a crash could forget the write's extent without this.
-            cluster.machine.file_agent.router.flush_volume(0)
-        except (RpcError, RhodosError) as exc:
-            # The write may have executed server-side (reply lost before
-            # the breaker opened); distinct per-version offsets make the
-            # eventual retry of the same content idempotent either way.
-            self._record_failure(start, f"agent_write:{type(exc).__name__}")
-            return
-        self.agent_acked[offset] = content
-        self.agent_version = version + 1
+    def _mixed_report(self) -> Dict[str, object]:
+        profile = self.cluster.config.fault_profile
+        return {
+            **self._lifecycle_keys(),
+            "counters": self._counters(MIXED_COUNTERS),
+            "failures": [list(failure) for failure in self.failures],
+            "final_versions": {
+                "acked": dict(self.versions),
+                "agent_writes_acked": len(self.agent_acked),
+            },
+            "profile": {
+                "duplication": profile.duplication,
+                "latency_us": profile.latency_us,
+                "reorder": profile.reorder,
+                "reply_loss": profile.reply_loss,
+                "request_loss": profile.request_loss,
+            },
+            "unavailability": self.unavailability,
+        }
 
-    def _agent_read(self, agent, descriptor: int) -> None:
-        cluster = self.cluster
-        if not self.agent_acked:
-            return
-        offsets = sorted(self.agent_acked)
-        offset = offsets[self.rng.randrange(len(offsets))]
-        start = cluster.clock.now_us
-        self.stats["agent_reads"] += 1
-        try:
-            data = agent.pread(descriptor, AGENT_LEN, offset)
-        except (RpcError, RhodosError) as exc:
-            self._record_failure(start, f"agent_read:{type(exc).__name__}")
-            return
-        if data != self.agent_acked[offset]:
-            self.violations.append(
-                f"t={start}us agent file: acked content lost at offset "
-                f"{offset} ({data[:8]!r}...)"
-            )
+    # ------------------------------------------------ workload: raid
 
-    def _record_failure(self, start_us: int, kind: str) -> None:
-        self.stats["failed_ops"] += 1
-        self.failures.append((start_us, self.cluster.clock.now_us, kind))
+    def _raid_setup(self) -> None:
+        self.array = self.cluster.arrays[0]
+        self.state_log: List[List[object]] = []
+        # Chain onto the cluster's health wiring so the campaign sees
+        # the same transitions the failure detector does.
+        chain = self.array.on_state_change
 
-    # ----------------------------------------------------- invariants
+        def observe(old: ArrayState, new: ArrayState) -> None:
+            self.state_log.append([self.cluster.clock.now_us, old.name, new.name])
+            if chain is not None:
+                chain(old, new)
 
-    def _verify_convergence(self, rfiles: List[str], agent, descriptor: int) -> None:
-        cluster = self.cluster
-        for path in rfiles:
-            expected = (
-                version_content(self.acked[path], REPLICATED_LEN)
-                if self.acked[path]
-                else None
-            )
-            replica_set = cluster.replication.lookup(AttributedName.file(path))
-            if replica_set.stale:
+        self.array.on_state_change = observe
+        self._open_agent_file("/availability/raid")
+        self.ops = dict.fromkeys(
+            ("reads", "writes", "reads_degraded", "writes_degraded"), 0
+        )
+
+    def _raid_step(self, index: int) -> None:
+        # The reliable bus makes any failed operation the RAID tier's
+        # fault: the volume must serve every one.
+        start = self.cluster.clock.now_us
+        degraded = self.array.state is not ArrayState.OPTIMAL
+        if self.rng.random() < 0.55 or not self.agent_acked:
+            version = len(self.agent_acked)
+            self.ops["writes"] += 1
+            self.ops["writes_degraded"] += degraded
+            error = self._agent_write()
+            if error is not None:
                 self.violations.append(
-                    f"{path}: replicas still stale after run-out: "
-                    f"{sorted(replica_set.stale)}"
+                    f"t={start}us write v{version} failed "
+                    f"({type(error).__name__}) — the volume must keep serving"
                 )
-            for system_name in replica_set.replicas:
-                server = cluster.file_servers[system_name.volume_id]
-                size = server.get_attribute(system_name).file_size
-                data = server.read(system_name, 0, size)
-                if expected is None:
-                    continue
-                if data != expected:
-                    self.violations.append(
-                        f"{path}: replica on volume {system_name.volume_id} "
-                        f"diverged from acked v{self.acked[path]}"
+        else:
+            self.ops["reads"] += 1
+            self.ops["reads_degraded"] += degraded
+            offset, error = self._agent_read()
+            if error is not None:
+                self.violations.append(
+                    f"t={start}us read at {offset} failed "
+                    f"({type(error).__name__}) — reads are never unavailable"
+                )
+
+    def _raid_report(self) -> Dict[str, object]:
+        config = self.cluster.config
+        return {
+            **self._lifecycle_keys(),
+            "counters": self._counters(RAID_COUNTERS),
+            "final_versions": {"writes_acked": len(self.agent_acked)},
+            "finale": self.finale,
+            "layout": {
+                "chunk_sectors": config.raid_chunk_sectors,
+                "level": config.raid_level,
+                "members": config.raid_members,
+            },
+            "member_windows": [list(w) for w in self.schedule.member_windows()],
+            "state_log": self.state_log,
+        }
+
+    # ------------------------------------ workloads: storm, rebalance
+
+    def _shard_setup(self) -> None:
+        self.ops = dict.fromkeys(
+            ("binds", "resolves", "failed_binds", "failed_resolves"), 0
+        )
+
+    def _storm_step(self, index: int) -> None:
+        if self.rng.random() < 0.45 or not self.bindings:
+            self._bind(f"/storm/dev{index}", index)
+        else:
+            paths = sorted(self.bindings)
+            path = paths[self.rng.randrange(len(paths))]
+            self._resolve_acked(
+                [path], f"t={self.cluster.clock.now_us}us", "acked names must fail over"
+            )
+
+    def _bind(self, path: str, index: int) -> None:
+        cluster = self.cluster
+        name = AttributedName.tty(f"dev{index}", path=path)
+        target = f"host{index % 4}:{path}"
+        start = cluster.clock.now_us
+        self.ops["binds"] += 1
+        self.attempted[path] = (name, target)
+        try:
+            # rebind, not bind: a reply lost after the server applied
+            # the write makes a retried bind a duplicate — rebind is
+            # idempotent at the workload layer, and the shard's reply
+            # cache absorbs bus-level duplicates below it.
+            cluster.naming.rebind(name, target)
+        except (RpcError, RhodosError) as exc:
+            self._failed(start, "bind", exc, "failed_binds")
+            return
+        self.bindings[path] = (name, target)
+
+    def _resolve_acked(
+        self, paths: List[str], context: str, promise: str, *, counted: bool = True
+    ) -> None:
+        """Resolve acked names; a miss or a wrong target is a violation.
+
+        ``counted`` resolves are workload operations, reported under
+        ``ops``; the final convergence check's are not.
+        """
+        for path in paths:
+            name, target = self.bindings[path]
+            self.ops["resolves"] += counted
+            try:
+                observed = self.cluster.naming.resolve(name)
+            except (RpcError, RhodosError) as exc:
+                self.ops["failed_resolves"] += counted
+                self.violations.append(
+                    f"{context}: resolve {path} failed "
+                    f"({type(exc).__name__}) — {promise}"
+                )
+                continue
+            if observed != target:
+                self.violations.append(
+                    f"{context}: resolve {path} returned {observed!r}, "
+                    f"acked {target!r}"
+                )
+
+    def _rebalance_setup(self) -> None:
+        """Migrate to a new shard, kill it mid-stream, re-run to cutover.
+
+        The migration must abort (the sources keep sole ownership, so
+        not one resolve misses at any watermark position), then re-run
+        to completion after the restart with the map epoch bumped.
+        """
+        self._shard_setup()
+        cluster = self.cluster
+        manager = cluster.shard_manager
+        for index in range(40):
+            self._bind(f"/reb/dev{index}", index)
+        epoch_before = cluster.naming.map_epoch
+        invisible = "migration must be invisible"
+
+        spare = cluster.add_shard()
+        slots = manager.begin_rebalance(spare)
+        self.log.append(f"rebalance {len(slots)} slot(s) -> shard {spare}")
+        for _round in range(3):
+            if manager.rebalance_done:
+                break
+            manager.step_rebalance(max_bindings=4)
+            self._resolve_acked(sorted(self.bindings), "mid-stream", invisible)
+        cluster.fail_shard(spare)
+        self.log.append(f"kill migration target shard {spare}")
+        manager.step_rebalance(max_bindings=4)
+        if manager.rebalance_in_flight:
+            self.violations.append("migration survived its destination's death")
+        self._resolve_acked(sorted(self.bindings), "post-abort", invisible)
+
+        cluster.restart_shard(spare)
+        self.log.append(f"restart shard {spare}")
+        slots = manager.begin_rebalance(spare)
+        while not manager.rebalance_done:
+            manager.step_rebalance(max_bindings=8)
+            self._resolve_acked(sorted(self.bindings), "re-run", invisible)
+        manager.complete_rebalance()
+        self.log.append(f"cutover: {len(slots)} slot(s) moved")
+        if manager.map.epoch <= epoch_before:
+            self.violations.append(f"map epoch never advanced past {epoch_before}")
+        if cluster.shards[spare].size() == 0:
+            self.violations.append(f"shard {spare} owns no bindings after the cutover")
+        self._resolve_acked(sorted(self.bindings), "post-cutover", invisible)
+        # The router learns the new map lazily — a post-cutover resolve
+        # of a moved name hits WrongShardError and re-fetches.
+        if cluster.naming.map_epoch != manager.map.epoch:
+            self.violations.append(
+                f"router stuck at epoch {cluster.naming.map_epoch}, "
+                f"manager at {manager.map.epoch}"
+            )
+
+    def _shard_report(self) -> Dict[str, object]:
+        return {
+            **self._lifecycle_keys(),
+            "counters": self._counters(SHARD_COUNTERS),
+            "failures": [list(failure) for failure in self.failures],
+            "final_versions": {
+                "acked_bindings": len(self.bindings),
+                "attempted_bindings": len(self.attempted),
+            },
+            "n_shards": self.cluster.config.n_shards,
+            "shard_windows": [list(w) for w in self.schedule.shard_windows()],
+        }
+
+    # ----------------------------------------- workloads: rot, media
+
+    def _scrub_setup(self) -> None:
+        """Corrupt volume 0, byte-check every read, scrub to clean.
+
+        Two replicated files (volumes 0 and 1) are seeded, then
+        :data:`SCRUB_TARGETS` checksummed fragments on volume 0 rot at
+        rest or turn unreadable.  Full scrub cycles run over every
+        volume: mirrored fragments (the FITs) repair locally from
+        stable storage; everything else is routed to
+        :meth:`ReplicationService.quarantine_volume_media`, which
+        resyncs the damaged replicas from their clean peers.
+        """
+        cluster = self.cluster
+        self.expected: Dict[str, bytes] = {}
+        for index, path in enumerate(("/scrub/r0", "/scrub/r1")):
+            cluster.replication.create(AttributedName.file(path))
+            content = bytes(
+                (index * 37 + offset * 7 + 13) % 251 + 1
+                for offset in range(SCRUB_FILE_BLOCKS * BLOCK_SIZE)
+            )
+            cluster.replication.write(AttributedName.file(path), 0, content)
+            self.expected[path] = content
+        for volume_id in sorted(cluster.file_servers):
+            cluster.file_servers[volume_id].flush()
+
+        disk_server = cluster.file_servers[0].disk
+        sim_disk = disk_server.disk
+        self.targets = sim_disk.faults.pick_targets(
+            disk_server.checksummed_fragments(), SCRUB_TARGETS, salt=17
+        )
+        # Pre-corruption ground truth for the direct-read byte checks.
+        self.pristine = {
+            fragment: disk_server.get(Extent(fragment, 1), use_cache=False)
+            for fragment in self.targets
+        }
+        for fragment in self.targets:
+            extent = Extent(fragment, 1)
+            if self.scenario.workload == "rot":
+                sim_disk.corrupt_sectors(extent.first_sector, extent.n_sectors)
+            else:
+                sim_disk.faults.schedule_media_error(extent.first_sector)
+
+        # Before any repair ran, a read of a damaged fragment either
+        # raises (checksum/media error) or returns exact bytes (an
+        # uncorrupted cached copy) — never silently wrong data.
+        self.reads_checked = 0
+        self.direct_errors = 0
+        for fragment in sorted(self.targets):
+            try:
+                data = disk_server.get(Extent(fragment, 1))
+            except MediaError:
+                self.direct_errors += 1
+                continue
+            self.reads_checked += 1
+            if data != self.pristine[fragment]:
+                self.violations.append(
+                    f"fragment {fragment}: corrupt bytes served to a "
+                    f"direct read before scrub"
+                )
+        self._client_reads()
+
+        #: Findings the scrubber could not repair locally, routed to
+        #: replication-level repair.
+        self.routed = 0
+        self.findings: List[List[object]] = []
+        self.first_cycle_found: Set[int] = set()
+        self.cycles_to_clean: Optional[int] = None
+        scrubbers = {
+            volume_id: Scrubber(cluster.file_servers[volume_id].disk)
+            for volume_id in sorted(cluster.file_servers)
+        }
+        for cycle in range(1, SCRUB_MAX_CYCLES + 1):
+            damaged: Set[int] = set()
+            found = False
+            for volume_id in sorted(scrubbers):
+                for finding in scrubbers[volume_id].run_cycle():
+                    found = True
+                    self.findings.append(
+                        [cycle, volume_id, finding.kind, finding.extent.start,
+                         finding.extent.length, finding.repaired]
                     )
-        # Verify the agent file against the *server's durable state*
-        # directly — the invariant is about what survived the crashes,
-        # not about bus luck during the check itself.
-        agent_name = agent.system_name(descriptor)
-        server = cluster.file_servers[agent_name.volume_id]
-        for offset in sorted(self.agent_acked):
-            data = server.read(agent_name, offset, AGENT_LEN)
-            if data != self.agent_acked[offset]:
-                self.violations.append(
-                    f"agent file: acked write at offset {offset} lost"
-                )
-        remaining = cluster.replication.orphans()
-        if remaining:
-            self.violations.append(
-                f"{len(remaining)} delete orphan(s) survived the final sweep"
-            )
+                    if not finding.repaired:
+                        self.routed += 1
+                        damaged.add(volume_id)
+                    if cycle == 1:
+                        self.first_cycle_found.update(
+                            range(finding.extent.start, finding.extent.end)
+                        )
+            if not found:
+                self.cycles_to_clean = cycle
+                break
+            for volume_id in sorted(damaged):
+                cluster.replication.quarantine_volume_media(volume_id)
 
-    def _unavailability(self) -> Dict[str, object]:
-        """Merge failure samples into windows; check each against the
-        schedule extended by the parametric recovery allowance."""
-        allowance = recovery_allowance_us(self.scenario)
+    def _client_reads(self) -> None:
+        """Read every replicated file end to end; byte-check the result.
+
+        Read-one failover means these reads succeed with exact content
+        even while volume 0 is damaged — a wrong byte is a violation,
+        not a degraded read.
+        """
+        for path, expected in self.expected.items():
+            try:
+                data = self.cluster.replication.read(
+                    AttributedName.file(path), 0, len(expected)
+                )
+            except (ReplicationError, RpcError) as exc:
+                self.violations.append(f"{path}: replicated read failed outright ({exc})")
+                continue
+            self.reads_checked += 1
+            if data != expected:
+                self.violations.append(f"{path}: corrupt bytes reached the client")
+
+    def _scrub_report(self) -> Dict[str, object]:
+        return {
+            "counters": self._counters(SCRUB_COUNTERS),
+            "cycles_to_clean": self.cycles_to_clean,
+            "direct_read_errors": self.direct_errors,
+            "findings": self.findings,
+            "injected": {
+                "fragments": sorted(self.targets),
+                "kind": self.scenario.workload,
+            },
+            "reads_checked": self.reads_checked,
+            "routed_to_replication": self.routed,
+        }
+
+    # ------------------------------------------------------ SLO checks
+
+    def _check_failure_windows(self) -> None:
+        """Merge failure samples into windows; each must fall inside a
+        scheduled window extended by the parametric recovery allowance."""
+        allowance = recovery_allowance_us(
+            self.scenario, self.cluster.config.fault_profile
+        )
         merge_gap = 4 * self.scenario.think_us + 2 * 20_000
         windows: List[List[int]] = []
         for start, end, _kind in sorted(self.failures):
@@ -603,521 +774,86 @@ class _Run:
             else:
                 windows.append([start, end])
         scheduled = [
-            (event.at_us, event.restart_at_us) for event in self.scenario.events
+            (event.at_us, event.at_us + event.down_us)
+            for event in self.scenario.events
         ]
-        out_of_bound = []
-        for start, end in windows:
-            covered = any(
-                s_start <= start and end <= s_end + allowance
+        out_of_bound = [
+            window
+            for window in windows
+            if not any(
+                s_start <= window[0] and window[1] <= s_end + allowance
                 for s_start, s_end in scheduled
             )
-            if not covered:
-                out_of_bound.append([start, end])
+        ]
         if out_of_bound:
             self.violations.append(
-                f"unavailability outside scheduled-downtime bound: "
-                f"{out_of_bound}"
+                f"failures outside scheduled-downtime bound: {out_of_bound}"
             )
-        return {
+        self.unavailability = {
             "allowance_us": allowance,
             "merge_gap_us": merge_gap,
             "out_of_bound": out_of_bound,
             "total_us": sum(end - start for start, end in windows),
-            "windows": [[start, end] for start, end in windows],
+            "windows": windows,
         }
 
-    def _report(self, rfiles: List[str]) -> Dict[str, object]:
-        metrics = self.cluster.metrics
-        unavailability = self._unavailability()
-        counters = {
-            name: metrics.get(name)
-            for name in (
-                "cluster.volume_failures",
-                "cluster.volume_restarts",
-                "health.marked_down",
-                "health.recoveries",
-                "health.transient_errors",
-                "recovery.crashes_injected",
-                "recovery.restarts_injected",
-                "replication.failovers",
-                "replication.orphans_recorded",
-                "replication.orphans_swept",
-                "replication.reads_degraded",
-                "replication.reads_skipped_down",
-                "replication.resyncs",
-                "replication.resyncs_verified",
-                "replication.writes_skipped_down",
-                "rpc.breaker_closes",
-                "rpc.breaker_opens",
-                "rpc.breaker_probes",
-                "rpc.breaker_rejections",
-                "rpc.reordered_executions",
-                "rpc.requests_delayed",
-                "rpc.retransmissions",
-                "transactions.recoveries",
-            )
-        }
-        return {
-            "counters": counters,
-            "description": self.scenario.description,
-            "events": [
-                [event.at_us, event.volume_id, event.down_us]
-                for event in self.scenario.events
-            ],
-            "failures": [
-                [start, end, kind] for start, end, kind in self.failures
-            ],
-            "final_versions": {
-                "acked": {path: self.acked[path] for path in rfiles},
-                "agent_writes_acked": len(self.agent_acked),
-            },
-            "lifecycle_log": self.action_log,
-            "ops": dict(sorted(self.stats.items())),
-            "profile": {
-                "duplication": self.scenario.profile.duplication,
-                "latency_us": self.scenario.profile.latency_us,
-                "reorder": self.scenario.profile.reorder,
-                "reply_loss": self.scenario.profile.reply_loss,
-                "request_loss": self.scenario.profile.request_loss,
-            },
-            "seed": self.scenario.seed,
-            "status": "pass" if not self.violations else "fail",
-            "unavailability": unavailability,
-            "violations": list(self.violations),
-        }
-
-
-class _ScrubRun:
-    """One scrub scenario: inject, byte-check reads, scrub, verify.
-
-    The run seeds two replicated files (degree two, volumes 0 and 1),
-    corrupts ``targets`` checksummed fragments on volume 0, then
-    drives full scrub cycles over every volume.  Mirrored fragments
-    (the FITs) repair locally from stable storage; everything else is
-    routed through ``on_corruption`` to
-    :meth:`ReplicationService.quarantine_volume_media`, which resyncs
-    the damaged replicas from their clean peers.  The scenario passes
-    when a whole cycle finds nothing — within ``max_cycles`` — and no
-    read anywhere in the campaign observed corrupt bytes.
-    """
-
-    FILE_BLOCKS = 4
-
-    def __init__(self, scenario: ScrubScenario) -> None:
-        self.scenario = scenario
-        self.cluster = RhodosCluster(
-            ClusterConfig(
-                n_machines=1,
-                n_disks=3,
-                replication_degree=2,
-                fault_profile=FaultProfile.reliable(),
-                write_policy=WritePolicy.WRITE_THROUGH,
-                client_cache_blocks=0,
-                seed=scenario.seed,
-            )
-        )
-        self.violations: List[str] = []
-        self.findings_log: List[List[object]] = []
-        self.reads_checked = 0
-
-    # ------------------------------------------------------- campaign
-
-    def run(self) -> Dict[str, object]:
+    def _check_replicas_converged(self) -> None:
         cluster = self.cluster
-        scenario = self.scenario
-        paths = ["/scrub/r0", "/scrub/r1"]
-        expected: Dict[str, bytes] = {}
-        for index, path in enumerate(paths):
-            cluster.replication.create(AttributedName.file(path))
-            content = bytes(
-                (index * 37 + offset * 7 + 13) % 251 + 1
-                for offset in range(self.FILE_BLOCKS * BLOCK_SIZE)
-            )
-            cluster.replication.write(AttributedName.file(path), 0, content)
-            expected[path] = content
-        for volume_id in sorted(cluster.file_servers):
-            cluster.file_servers[volume_id].flush()
-
-        disk_server = cluster.file_servers[0].disk
-        sim_disk = disk_server.disk
-        population = disk_server.checksummed_fragments()
-        targets = sim_disk.faults.pick_targets(
-            population, scenario.targets, salt=17
-        )
-        # Pre-corruption ground truth for the direct-read byte checks.
-        pristine = {
-            fragment: disk_server.get(Extent(fragment, 1), use_cache=False)
-            for fragment in targets
-        }
-        for fragment in targets:
-            extent = Extent(fragment, 1)
-            if scenario.kind == "rot":
-                sim_disk.corrupt_sectors(extent.first_sector, extent.n_sectors)
-            else:
-                sim_disk.faults.schedule_media_error(extent.first_sector)
-
-        # SLO 2, before any repair ran: a read of a damaged fragment
-        # either raises (checksum/media error) or returns exact bytes
-        # (an uncorrupted cached copy) — never silently wrong data.
-        direct_errors = 0
-        for fragment in sorted(targets):
-            try:
-                data = disk_server.get(Extent(fragment, 1))
-            except MediaError:
-                direct_errors += 1
-                continue
-            self.reads_checked += 1
-            if data != pristine[fragment]:
-                self.violations.append(
-                    f"fragment {fragment}: corrupt bytes served to a "
-                    f"direct read before scrub"
-                )
-        self._client_reads(paths, expected)
-
-        # The scrub loop: every volume, full cycles, repair callbacks.
-        unrepaired: List[Tuple[int, ScrubFinding]] = []
-        scrubbers = {
-            volume_id: Scrubber(
-                cluster.file_servers[volume_id].disk,
-                on_corruption=lambda finding, volume_id=volume_id: (
-                    unrepaired.append((volume_id, finding))
-                ),
-            )
-            for volume_id in sorted(cluster.file_servers)
-        }
-        cycles_to_clean: Optional[int] = None
-        first_cycle_found: set[int] = set()
-        for cycle in range(1, scenario.max_cycles + 1):
-            cycle_findings: List[Tuple[int, ScrubFinding]] = []
-            for volume_id in sorted(scrubbers):
-                for finding in scrubbers[volume_id].run_cycle():
-                    cycle_findings.append((volume_id, finding))
-                    self.findings_log.append(
-                        [
-                            cycle,
-                            volume_id,
-                            finding.kind,
-                            finding.extent.start,
-                            finding.extent.length,
-                            finding.repaired,
-                        ]
-                    )
-            if cycle == 1:
-                for _, finding in cycle_findings:
-                    first_cycle_found.update(
-                        range(finding.extent.start, finding.extent.end)
-                    )
-            if not cycle_findings:
-                cycles_to_clean = cycle
-                break
-            for volume_id in sorted(
-                {vid for vid, finding in cycle_findings if not finding.repaired}
-            ):
-                cluster.replication.quarantine_volume_media(volume_id)
-
-        # SLO 1: everything injected was found, and a clean cycle
-        # arrived within the bound.
-        if cycles_to_clean is None:
-            self.violations.append(
-                f"scrub still finding corruption after "
-                f"{scenario.max_cycles} cycles"
-            )
-        missed = sorted(set(targets) - first_cycle_found)
-        if missed:
-            self.violations.append(
-                f"injected corruption never found by the scrubber: "
-                f"fragments {missed}"
-            )
-        self._verify_repaired(paths, expected, targets, pristine)
-        return self._report(targets, cycles_to_clean, direct_errors, unrepaired)
-
-    # ------------------------------------------------------ internal
-
-    def _client_reads(self, paths: List[str], expected: Dict[str, bytes]) -> None:
-        """Read every replicated file end to end; byte-check the result.
-
-        Read-one failover means these reads succeed with exact content
-        even while volume 0 is damaged — a wrong byte is an SLO 2
-        violation, not a degraded read.
-        """
-        for path in paths:
-            try:
-                data = self.cluster.replication.read(
-                    AttributedName.file(path), 0, len(expected[path])
-                )
-            except (ReplicationError, RpcError) as exc:
-                self.violations.append(
-                    f"{path}: replicated read failed outright ({exc})"
-                )
-                continue
-            self.reads_checked += 1
-            if data != expected[path]:
-                self.violations.append(
-                    f"{path}: corrupt bytes reached the client"
-                )
-
-    def _verify_repaired(
-        self,
-        paths: List[str],
-        expected: Dict[str, bytes],
-        targets: List[int],
-        pristine: Dict[int, bytes],
-    ) -> None:
-        cluster = self.cluster
-        # Every damaged fragment reads clean — through the cache and
-        # around it — so nothing corrupt survived into the cache.
-        disk_server = cluster.file_servers[0].disk
-        for fragment in sorted(targets):
-            for use_cache in (True, False):
-                try:
-                    data = disk_server.get(
-                        Extent(fragment, 1), use_cache=use_cache
-                    )
-                except MediaError as exc:
-                    self.violations.append(
-                        f"fragment {fragment}: still unreadable after "
-                        f"scrub repair ({exc})"
-                    )
-                    continue
-                self.reads_checked += 1
-                if data != pristine[fragment]:
-                    self.violations.append(
-                        f"fragment {fragment}: content wrong after repair "
-                        f"(cache={use_cache})"
-                    )
-        # The raw recompute pass agrees: zero latent findings anywhere.
-        for volume_id in sorted(cluster.file_servers):
-            findings = verify_checksums(cluster.file_servers[volume_id].disk)
-            for finding in findings:
-                self.violations.append(f"volume {volume_id} fsck: {finding}")
-        # Client-visible content, and no replica left stale.
-        self._client_reads(paths, expected)
-        for path in paths:
+        for path, acked in self.versions.items():
             replica_set = cluster.replication.lookup(AttributedName.file(path))
             if replica_set.stale:
                 self.violations.append(
-                    f"{path}: replicas still stale after scrub repair: "
+                    f"{path}: replicas still stale after run-out: "
                     f"{sorted(replica_set.stale)}"
                 )
+            if not acked:
+                continue
+            for system_name in replica_set.replicas:
+                server = cluster.file_servers[system_name.volume_id]
+                size = server.get_attribute(system_name).file_size
+                if server.read(system_name, 0, size) != version_content(
+                    acked, REPLICATED_LEN
+                ):
+                    self.violations.append(
+                        f"{path}: replica on volume {system_name.volume_id} "
+                        f"diverged from acked v{acked}"
+                    )
 
-    def _report(
-        self,
-        targets: List[int],
-        cycles_to_clean: Optional[int],
-        direct_errors: int,
-        unrepaired: List[Tuple[int, ScrubFinding]],
-    ) -> Dict[str, object]:
-        metrics = self.cluster.metrics
-        counters = {
-            name: metrics.get(name)
-            for name in (
-                "disk_server.0.checksum_failures",
-                "disk_server.0.read_repairs",
-                "disk_server.0.stable_repairs",
-                "replication.media_quarantines",
-                "replication.quarantine_deferrals",
-                "replication.resyncs",
-                "replication.resyncs_verified",
-                "scrub.0.cycles",
-                "scrub.0.fragments_verified",
-                "scrub.0.mirrors_verified",
-                "scrub.0.repairs",
-                "scrub.0.repair_failures",
-            )
-        }
-        return {
-            "counters": counters,
-            "cycles_to_clean": cycles_to_clean,
-            "description": self.scenario.description,
-            "direct_read_errors": direct_errors,
-            "findings": self.findings_log,
-            "injected": {
-                "fragments": sorted(targets),
-                "kind": self.scenario.kind,
-            },
-            "reads_checked": self.reads_checked,
-            "routed_to_replication": len(unrepaired),
-            "seed": self.scenario.seed,
-            "status": "pass" if not self.violations else "fail",
-            "violations": list(self.violations),
-        }
+    def _check_agent_durable(self) -> None:
+        """Every acked agent write survives in the server's durable state
+        (read directly: the invariant is about what survived the
+        failures, not about bus luck during the check itself)."""
+        name = self.agent.system_name(self.descriptor)
+        server = self.cluster.file_servers[name.volume_id]
+        for offset in sorted(self.agent_acked):
+            if server.read(name, offset, AGENT_LEN) != self.agent_acked[offset]:
+                self.violations.append(
+                    f"agent file: acked write at offset {offset} lost"
+                )
 
-
-class _RaidRun:
-    """One RAID scenario: member kills mid-workload, rebuild, verdicts.
-
-    A single volume backed by a :class:`StripedVolume` serves a mixed
-    read/write workload over the client agent path (reliable bus — any
-    failed operation is attributable to the RAID tier, not bus luck).
-    The schedule kills and replaces member drives between operations;
-    :meth:`RhodosCluster.step_rebuilds` is pumped each step so the
-    background rebuild competes with foreground traffic for idle slots.
-    Unlike the volume-crash scenarios there is no unavailability budget
-    to spend: **every** operation must succeed, and at the end every
-    acked byte must read back exactly from the server's durable state.
-    """
-
-    def __init__(self, scenario: RaidScenario) -> None:
-        self.scenario = scenario
-        self.cluster = RhodosCluster(
-            ClusterConfig(
-                n_machines=1,
-                n_disks=1,
-                # 64 MB members keep the rebuild long enough to overlap
-                # dozens of foreground steps yet finish within the run.
-                geometry=DiskGeometry.small(),
-                replication_degree=1,
-                fault_profile=FaultProfile.reliable(),
-                write_policy=WritePolicy.WRITE_THROUGH,
-                # Every cache off: each read reaches the platters, so
-                # degraded reads really exercise XOR reconstruction on
-                # the client path rather than a cached block.
-                client_cache_blocks=0,
-                server_cache_blocks=0,
-                disk_cache_tracks=0,
-                disk_readahead=False,
-                raid_level=scenario.level,
-                raid_members=scenario.members,
-                raid_chunk_sectors=scenario.chunk_sectors,
-                raid_rebuild_chunks=scenario.rebuild_chunks,
-                seed=scenario.seed,
-            )
-        )
-        self.schedule = FailureSchedule(
-            scenario.events,
-            self.cluster.clock,
-            metrics=self.cluster.metrics,
-        )
-        self.rng = random.Random(scenario.seed)
-        self.action_log: List[str] = []
-        self.state_log: List[List[object]] = []
-        self.acked: Dict[int, bytes] = {}  # offset -> content
-        self.version = 0
-        self.stats = {
-            "reads": 0,
-            "writes": 0,
-            "reads_degraded": 0,
-            "writes_degraded": 0,
-        }
-        self.violations: List[str] = []
-        self.array = self.cluster.arrays[0]
-        # Chain onto the cluster's health wiring so the campaign sees
-        # the same transitions the failure detector does.
-        chain = self.array.on_state_change
-
-        def observe(old: ArrayState, new: ArrayState) -> None:
-            self.state_log.append(
-                [self.cluster.clock.now_us, old.name, new.name]
-            )
-            if chain is not None:
-                chain(old, new)
-
-        self.array.on_state_change = observe
-
-    # ------------------------------------------------------- workload
-
-    def run(self) -> Dict[str, object]:
-        cluster, schedule = self.cluster, self.schedule
-        agent = cluster.machine.file_agent
-        descriptor = agent.create(
-            AttributedName.file("/availability/raid"), volume_id=0
-        )
-        for _step in range(self.scenario.steps):
-            self.action_log.extend(schedule.poll(cluster))
-            cluster.step_rebuilds()
-            cluster.clock.advance_us(self.scenario.think_us)
-            if self.rng.random() < 0.55 or not self.acked:
-                self._write(agent, descriptor)
-            else:
-                self._read(agent, descriptor)
-
-        # Converge: fire the remaining replacements, then grant the
-        # rebuild exclusive slots until the array is whole again.
-        self.action_log.extend(schedule.run_out(cluster))
-        for _ in range(8 * self.scenario.steps):
-            if not cluster.rebuilders:
-                break
-            cluster.clock.advance_us(self.scenario.think_us)
-            cluster.step_rebuilds(force=True)
-        else:
-            self.violations.append("rebuild never completed at run-out")
-        self._verify_convergence(agent, descriptor)
-        finale = self._exhaust_redundancy() if self.scenario.exhaust_finale else None
-        return self._report(finale)
-
-    def _write(self, agent, descriptor: int) -> None:
-        cluster = self.cluster
-        version = self.version
-        offset = version * AGENT_LEN
-        content = version_content(version, AGENT_LEN)
-        start = cluster.clock.now_us
-        degraded = self.array.state is not ArrayState.OPTIMAL
-        self.stats["writes"] += 1
-        self.stats["writes_degraded"] += 1 if degraded else 0
-        try:
-            agent.pwrite(descriptor, content, offset)
-            cluster.machine.file_agent.router.flush_volume(0)
-        except (RpcError, RhodosError) as exc:
+    def _check_orphans_swept(self) -> None:
+        remaining = self.cluster.replication.orphans()
+        if remaining:
             self.violations.append(
-                f"t={start}us write v{version} failed "
-                f"({type(exc).__name__}) — the volume must keep serving"
-            )
-            return
-        self.acked[offset] = content
-        self.version = version + 1
-
-    def _read(self, agent, descriptor: int) -> None:
-        cluster = self.cluster
-        offsets = sorted(self.acked)
-        offset = offsets[self.rng.randrange(len(offsets))]
-        start = cluster.clock.now_us
-        degraded = self.array.state is not ArrayState.OPTIMAL
-        self.stats["reads"] += 1
-        self.stats["reads_degraded"] += 1 if degraded else 0
-        try:
-            data = agent.pread(descriptor, AGENT_LEN, offset)
-        except (RpcError, RhodosError) as exc:
-            self.violations.append(
-                f"t={start}us read at {offset} failed "
-                f"({type(exc).__name__}) — reads are never unavailable"
-            )
-            return
-        if data != self.acked[offset]:
-            self.violations.append(
-                f"t={start}us read at {offset} returned wrong bytes "
-                f"({data[:8]!r}...)"
+                f"{len(remaining)} delete orphan(s) survived the final sweep"
             )
 
-    # ----------------------------------------------------- invariants
-
-    def _verify_convergence(self, agent, descriptor: int) -> None:
-        cluster = self.cluster
+    def _check_array_optimal(self) -> None:
+        """Whole again, never FAILED on the way, and healthy."""
         if self.array.state is not ArrayState.OPTIMAL:
-            self.violations.append(
-                f"array ended {self.array.state.name}, not OPTIMAL"
-            )
-        for entry in self.state_log:
-            if entry[2] == "FAILED":
+            self.violations.append(f"array ended {self.array.state.name}, not OPTIMAL")
+        for at_us, _old, new in self.state_log:
+            if new == "FAILED":
                 self.violations.append(
-                    f"t={entry[0]}us array went FAILED with redundancy "
-                    f"remaining"
+                    f"t={at_us}us array went FAILED with redundancy remaining"
                 )
-        # Durability against the server's durable state, not bus luck.
-        agent_name = agent.system_name(descriptor)
-        server = cluster.file_servers[agent_name.volume_id]
-        for offset in sorted(self.acked):
-            data = server.read(agent_name, offset, AGENT_LEN)
-            if data != self.acked[offset]:
-                self.violations.append(
-                    f"acked write at offset {offset} lost after rebuild"
-                )
-        if cluster.health.is_down(volume_component(0)):
+        if self.cluster.health.is_down(volume_component(0)):
             self.violations.append(
                 "health registry still holds the volume down after the "
                 "array returned to OPTIMAL"
             )
 
-    def _exhaust_redundancy(self) -> Dict[str, object]:
+    def _check_exhausted_array_refuses(self) -> None:
         """Kill two members: FAILED is mandatory, silence is forbidden."""
         cluster = self.cluster
         cluster.fail_member(0, 0)
@@ -1137,289 +873,26 @@ class _RaidRun:
             self.violations.append(
                 f"FAILED array served {len(data)} bytes at sector {sector}"
             )
-        return {
+        self.finale = {
             "health_down": cluster.health.is_down(volume_component(0)),
             "reads_refused": refused,
             "reads_served": served,
             "state": self.array.state.name,
         }
 
-    def _report(self, finale: Optional[Dict[str, object]]) -> Dict[str, object]:
-        metrics = self.cluster.metrics
-        counters = {
-            name: metrics.get(name)
-            for name in (
-                "cluster.member_failures",
-                "cluster.member_replacements",
-                "health.marked_down",
-                "health.recoveries",
-                "health.transient_errors",
-                "recovery.member_kills_injected",
-                "recovery.member_replacements_injected",
-                "raid.0.degraded_reads",
-                "raid.0.degraded_writes",
-                "raid.0.journal_arms",
-                "raid.0.member_failures",
-                "raid.0.member_replacements",
-                "raid.0.parity_writes",
-                "raid.0.rebuild.chunks",
-                "raid.0.rebuild.steps_yielded",
-                "raid.0.segments_reconstructed",
-            )
-        }
-        return {
-            "counters": counters,
-            "description": self.scenario.description,
-            "events": [
-                [event.at_us, event.volume_id, event.member_index, event.down_us]
-                for event in self.scenario.events
-            ],
-            "finale": finale,
-            "final_versions": {"writes_acked": len(self.acked)},
-            "layout": {
-                "chunk_sectors": self.scenario.chunk_sectors,
-                "level": self.scenario.level,
-                "members": self.scenario.members,
-            },
-            "lifecycle_log": self.action_log,
-            "member_windows": [
-                list(window) for window in self.schedule.member_windows()
-            ],
-            "ops": dict(sorted(self.stats.items())),
-            "seed": self.scenario.seed,
-            "state_log": self.state_log,
-            "status": "pass" if not self.violations else "fail",
-            "violations": list(self.violations),
-        }
-
-
-class _ShardRun:
-    """One sharded-namespace scenario: kills, failover, verdicts.
-
-    The ``storm`` kind binds fresh names and resolves acked ones over
-    the lossy RPC bus while the schedule kills and restarts one shard
-    server.  SLOs: an acked name **never** fails to resolve (reads fail
-    over to the replica peer), bind failures fall only inside the
-    scheduled kill window plus the parametric recovery allowance, and
-    after the restart every acked binding resolves with its exact
-    target while the per-shard dumps stay pairwise disjoint.
-
-    The ``rebalance`` kind runs an online migration and kills its
-    destination mid-stream: the migration must abort (sources keep sole
-    ownership — zero resolve misses at every step), then re-run to
-    completion after the restart with the map epoch bumped.
-    """
-
-    def __init__(self, scenario: ShardScenario) -> None:
-        self.scenario = scenario
-        profile = scenario.profile if scenario.kind == "storm" else None
-        self.cluster = RhodosCluster(
-            ClusterConfig(
-                n_machines=1,
-                n_disks=1,
-                n_shards=scenario.n_shards,
-                fault_profile=profile,
-                rpc_backoff=BACKOFF,
-                rpc_breaker=BREAKER,
-                client_cache_blocks=0,
-                seed=scenario.seed,
-            )
+    def _check_bindings_converged(self) -> None:
+        """Every acked binding resolves, and the per-shard dumps partition
+        the names: pairwise disjoint, every acked binding present,
+        nothing present that was never attempted (a failed bind may have
+        applied server-side — its reply was lost — so the union may
+        exceed the acked set, but never the attempted set)."""
+        self._resolve_acked(
+            sorted(self.bindings), "after run-out", "acked binding lost",
+            counted=False,
         )
-        self.schedule = FailureSchedule(
-            scenario.events, self.cluster.clock, metrics=self.cluster.metrics
-        )
-        self.rng = random.Random(scenario.seed)
-        self.action_log: List[str] = []
-        self.acked: Dict[str, Tuple[AttributedName, str]] = {}
-        self.attempted: Dict[str, Tuple[AttributedName, str]] = {}
-        self.failures: List[Tuple[int, int, str]] = []
-        self.stats = {
-            "binds": 0,
-            "resolves": 0,
-            "failed_binds": 0,
-            "failed_resolves": 0,
-        }
-        self.violations: List[str] = []
-
-    # ------------------------------------------------------- workload
-
-    def run(self) -> Dict[str, object]:
-        if self.scenario.kind == "rebalance":
-            return self._run_rebalance()
-        return self._run_storm()
-
-    def _run_storm(self) -> Dict[str, object]:
-        cluster, schedule = self.cluster, self.schedule
-        for step in range(self.scenario.steps):
-            self.action_log.extend(schedule.poll(cluster))
-            cluster.clock.advance_us(self.scenario.think_us)
-            if self.rng.random() < 0.45 or not self.acked:
-                self._bind(step)
-            else:
-                self._resolve()
-        self.action_log.extend(schedule.run_out(cluster))
-        if cluster.bus is not None:
-            cluster.bus.drain_delayed()
-        self._verify_convergence()
-        self._check_bind_windows()
-        if cluster.metrics.get("naming_shard.failovers") == 0:
-            self.violations.append(
-                "the storm never exercised a failover read — the kill "
-                "window missed the workload entirely"
-            )
-        return self._report()
-
-    def _bind(self, step: int) -> None:
-        cluster = self.cluster
-        path = f"/storm/dev{step}"
-        name = AttributedName.tty(f"dev{step}", path=path)
-        target = f"host{step % 4}:{path}"
-        start = cluster.clock.now_us
-        self.stats["binds"] += 1
-        self.attempted[path] = (name, target)
-        try:
-            # rebind, not bind: a reply lost after the server applied
-            # the write makes a retried bind a duplicate — rebind is
-            # idempotent at the workload layer, and the shard's reply
-            # cache absorbs bus-level duplicates below it.
-            cluster.naming.rebind(name, target)
-        except (RpcError, RhodosError) as exc:
-            self.stats["failed_binds"] += 1
-            self.failures.append(
-                (start, cluster.clock.now_us, f"bind:{type(exc).__name__}")
-            )
-            return
-        self.acked[path] = (name, target)
-
-    def _resolve(self) -> None:
-        cluster = self.cluster
-        paths = sorted(self.acked)
-        path = paths[self.rng.randrange(len(paths))]
-        name, target = self.acked[path]
-        start = cluster.clock.now_us
-        self.stats["resolves"] += 1
-        try:
-            observed = cluster.naming.resolve(name)
-        except (RpcError, RhodosError) as exc:
-            self.stats["failed_resolves"] += 1
-            self.violations.append(
-                f"t={start}us resolve {path} failed "
-                f"({type(exc).__name__}) — acked names must fail over"
-            )
-            return
-        if observed != target:
-            self.violations.append(
-                f"t={start}us resolve {path} returned {observed!r}, "
-                f"acked {target!r}"
-            )
-
-    # ----------------------------------------------------- rebalancing
-
-    def _run_rebalance(self) -> Dict[str, object]:
-        cluster = self.cluster
-        manager = cluster.shard_manager
-        for index in range(40):
-            path = f"/reb/dev{index}"
-            name = AttributedName.tty(f"dev{index}", path=path)
-            target = f"host{index % 4}:{path}"
-            cluster.naming.rebind(name, target)
-            self.acked[path] = self.attempted[path] = (name, target)
-            self.stats["binds"] += 1
-        epoch_before = cluster.naming.map_epoch
-
-        spare = cluster.add_shard()
-        slots = manager.begin_rebalance(spare)
-        self.action_log.append(
-            f"rebalance {len(slots)} slot(s) -> shard {spare}"
-        )
-        streamed_before_kill = 0
-        for _round in range(3):
-            if manager.rebalance_done:
-                break
-            streamed_before_kill += manager.step_rebalance(max_bindings=4)
-            self._resolve_all("mid-stream")
-        cluster.fail_shard(spare)
-        self.action_log.append(f"kill migration target shard {spare}")
-        manager.step_rebalance(max_bindings=4)
-        if manager.rebalance_in_flight:
-            self.violations.append(
-                "migration survived its destination's death"
-            )
-        self._resolve_all("post-abort")
-
-        cluster.restart_shard(spare)
-        self.action_log.append(f"restart shard {spare}")
-        slots = manager.begin_rebalance(spare)
-        while not manager.rebalance_done:
-            manager.step_rebalance(max_bindings=8)
-            self._resolve_all("re-run")
-        manager.complete_rebalance()
-        self.action_log.append(f"cutover: {len(slots)} slot(s) moved")
-        if manager.map.epoch <= epoch_before:
-            self.violations.append(
-                f"map epoch never advanced past {epoch_before}"
-            )
-        if cluster.shards[spare].size() == 0:
-            self.violations.append(
-                f"shard {spare} owns no bindings after the cutover"
-            )
-        self._resolve_all("post-cutover")
-        # The router learns the new map lazily — a post-cutover resolve
-        # of a moved name hits WrongShardError and re-fetches.
-        if cluster.naming.map_epoch != manager.map.epoch:
-            self.violations.append(
-                f"router stuck at epoch {cluster.naming.map_epoch}, "
-                f"manager at {manager.map.epoch}"
-            )
-        self._verify_convergence()
-        return self._report()
-
-    def _resolve_all(self, stage: str) -> None:
-        cluster = self.cluster
-        for path in sorted(self.acked):
-            name, target = self.acked[path]
-            self.stats["resolves"] += 1
-            try:
-                observed = cluster.naming.resolve(name)
-            except (RpcError, RhodosError) as exc:
-                self.stats["failed_resolves"] += 1
-                self.violations.append(
-                    f"{stage}: resolve {path} missed "
-                    f"({type(exc).__name__}) — migration must be invisible"
-                )
-                continue
-            if observed != target:
-                self.violations.append(
-                    f"{stage}: resolve {path} returned {observed!r}, "
-                    f"acked {target!r}"
-                )
-
-    # ----------------------------------------------------- invariants
-
-    def _verify_convergence(self) -> None:
-        cluster = self.cluster
-        for path in sorted(self.acked):
-            name, target = self.acked[path]
-            try:
-                observed = cluster.naming.resolve(name)
-            except (RpcError, RhodosError) as exc:
-                self.violations.append(
-                    f"{path}: acked binding lost after run-out ({exc})"
-                )
-                continue
-            if observed != target:
-                self.violations.append(
-                    f"{path}: resolves to {observed!r} after run-out, "
-                    f"acked {target!r}"
-                )
-        # The partition invariant: per-shard dumps pairwise disjoint,
-        # every acked binding present, nothing present that was never
-        # attempted (a failed bind may have applied server-side — its
-        # reply was lost — so the union may exceed the acked set, but
-        # never the attempted set).
         seen: Dict[str, int] = {}
         union: Dict[str, str] = {}
-        for shard_id, blob in sorted(cluster.naming.shard_dumps().items()):
+        for shard_id, blob in sorted(self.cluster.naming.shard_dumps().items()):
             part = NamingService.from_bytes(blob)
             for name in part:
                 path = name.get("path") or repr(name)
@@ -1429,8 +902,8 @@ class _ShardRun:
                     )
                 seen[path] = shard_id
                 union[path] = part.resolve(name)
-        for path in sorted(self.acked):
-            _name, target = self.acked[path]
+        for path in sorted(self.bindings):
+            target = self.bindings[path][1]
             if union.get(path) != target:
                 self.violations.append(
                     f"{path}: acked {target!r} but the dumps hold "
@@ -1438,116 +911,372 @@ class _ShardRun:
                 )
         # Only the campaign's own names are policed — the cluster seeds
         # bindings of its own (the root directory).
-        prefix = "/storm/" if self.scenario.kind == "storm" else "/reb/"
         for path in sorted(set(union) - set(self.attempted)):
-            if path.startswith(prefix):
+            if path.startswith(("/storm/", "/reb/")):
                 self.violations.append(
                     f"{path}: present in a shard dump but never attempted"
                 )
 
-    def _check_bind_windows(self) -> None:
-        """Bind failures are legal only inside kill windows + allowance."""
-        allowance = recovery_allowance_us(self.scenario)
-        scheduled = [
-            (event.at_us, event.restart_at_us)
-            for event in self.scenario.events
-        ]
-        out_of_bound = [
-            [start, end, kind]
-            for start, end, kind in self.failures
-            if not any(
-                s_start <= start and end <= s_end + allowance
-                for s_start, s_end in scheduled
-            )
-        ]
-        if out_of_bound:
+    def _check_failover_exercised(self) -> None:
+        if self.cluster.metrics.get("naming_shard.failovers") == 0:
             self.violations.append(
-                f"bind failures outside scheduled-downtime bound: "
-                f"{out_of_bound}"
+                "the storm never exercised a failover read — the kill "
+                "window missed the workload entirely"
             )
 
-    def _report(self) -> Dict[str, object]:
-        metrics = self.cluster.metrics
-        counters = {
-            name: metrics.get(name)
-            for name in (
-                "cluster.shard_failures",
-                "cluster.shard_restarts",
-                "cluster.shards_added",
-                "health.marked_down",
-                "health.recoveries",
-                "naming_shard.failovers",
-                "naming_shard.fan_outs",
-                "naming_shard.migrations_aborted",
-                "naming_shard.migrations_completed",
-                "naming_shard.migrations_started",
-                "naming_shard.redirects",
-                "naming_shard.resyncs",
-                "naming_shard.streamed_bindings",
-                "recovery.shard_kills_injected",
-                "recovery.shard_restarts_injected",
-                "rpc.breaker_opens",
-                "rpc.retransmissions",
+    def _check_scrub_bounded(self) -> None:
+        """Everything injected was found, and a clean cycle arrived
+        within the bound."""
+        if self.cycles_to_clean is None:
+            self.violations.append(
+                f"scrub still finding corruption after {SCRUB_MAX_CYCLES} cycles"
             )
-        }
-        return {
-            "counters": counters,
-            "description": self.scenario.description,
-            "events": [
-                [event.at_us, event.shard_id, event.down_us]
-                for event in self.scenario.events
-            ],
-            "failures": [
-                [start, end, kind] for start, end, kind in self.failures
-            ],
-            "final_versions": {
-                "acked_bindings": len(self.acked),
-                "attempted_bindings": len(self.attempted),
-            },
-            "lifecycle_log": self.action_log,
-            "n_shards": self.scenario.n_shards,
-            "ops": dict(sorted(self.stats.items())),
-            "seed": self.scenario.seed,
-            "shard_windows": [
-                list(window) for window in self.schedule.shard_windows()
-            ],
-            "status": "pass" if not self.violations else "fail",
-            "violations": list(self.violations),
-        }
+        missed = sorted(set(self.targets) - self.first_cycle_found)
+        if missed:
+            self.violations.append(
+                f"injected corruption never found by the scrubber: "
+                f"fragments {missed}"
+            )
+
+    def _check_media_repaired(self) -> None:
+        """Every damaged fragment reads clean — through the cache and
+        around it — the raw recompute pass agrees, and no replica is
+        left stale."""
+        cluster = self.cluster
+        disk_server = cluster.file_servers[0].disk
+        for fragment in sorted(self.targets):
+            for use_cache in (True, False):
+                try:
+                    data = disk_server.get(Extent(fragment, 1), use_cache=use_cache)
+                except MediaError as exc:
+                    self.violations.append(
+                        f"fragment {fragment}: still unreadable after "
+                        f"scrub repair ({exc})"
+                    )
+                    continue
+                self.reads_checked += 1
+                if data != self.pristine[fragment]:
+                    self.violations.append(
+                        f"fragment {fragment}: content wrong after repair "
+                        f"(cache={use_cache})"
+                    )
+        for volume_id in sorted(cluster.file_servers):
+            for finding in verify_checksums(cluster.file_servers[volume_id].disk):
+                self.violations.append(f"volume {volume_id} fsck: {finding}")
+        self._client_reads()
+        for path in self.expected:
+            replica_set = cluster.replication.lookup(AttributedName.file(path))
+            if replica_set.stale:
+                self.violations.append(
+                    f"{path}: replicas still stale after scrub repair: "
+                    f"{sorted(replica_set.stale)}"
+                )
 
 
-def run_scenario(scenario) -> Dict[str, object]:
+_Hook = Callable[[_Run], object]
+
+#: workload -> (setup, per-step action, workload-specific report keys).
+#: Workloads that are a script rather than a stream of operations
+#: (scrub, rebalance) run it in setup and take no steps.
+WORKLOADS: Dict[str, Tuple[_Hook, Optional[Callable[[_Run, int], None]], _Hook]] = {
+    "mixed": (_Run._mixed_setup, _Run._mixed_step, _Run._mixed_report),
+    "raid": (_Run._raid_setup, _Run._raid_step, _Run._raid_report),
+    "storm": (_Run._shard_setup, _Run._storm_step, _Run._shard_report),
+    "rebalance": (_Run._rebalance_setup, None, _Run._shard_report),
+    "rot": (_Run._scrub_setup, None, _Run._scrub_report),
+    "media": (_Run._scrub_setup, None, _Run._scrub_report),
+}
+
+#: SLO check name -> check.  Each appends its findings to the run's
+#: violations.
+CHECKS: Dict[str, _Hook] = {
+    "failures_in_windows": _Run._check_failure_windows,
+    "replicas_converged": _Run._check_replicas_converged,
+    "agent_durable": _Run._check_agent_durable,
+    "orphans_swept": _Run._check_orphans_swept,
+    "array_optimal": _Run._check_array_optimal,
+    "exhausted_array_refuses": _Run._check_exhausted_array_refuses,
+    "bindings_converged": _Run._check_bindings_converged,
+    "failover_exercised": _Run._check_failover_exercised,
+    "scrub_bounded": _Run._check_scrub_bounded,
+    "media_repaired": _Run._check_media_repaired,
+}
+
+MIXED_COUNTERS = (
+    "cluster.volume_failures",
+    "cluster.volume_restarts",
+    "health.marked_down",
+    "health.recoveries",
+    "health.transient_errors",
+    "recovery.crashes_injected",
+    "recovery.restarts_injected",
+    "replication.failovers",
+    "replication.orphans_recorded",
+    "replication.orphans_swept",
+    "replication.reads_degraded",
+    "replication.reads_skipped_down",
+    "replication.resyncs",
+    "replication.resyncs_verified",
+    "replication.writes_skipped_down",
+    "rpc.breaker_closes",
+    "rpc.breaker_opens",
+    "rpc.breaker_probes",
+    "rpc.breaker_rejections",
+    "rpc.reordered_executions",
+    "rpc.requests_delayed",
+    "rpc.retransmissions",
+    "transactions.recoveries",
+)
+SCRUB_COUNTERS = (
+    "disk_server.0.checksum_failures",
+    "disk_server.0.read_repairs",
+    "disk_server.0.stable_repairs",
+    "replication.media_quarantines",
+    "replication.quarantine_deferrals",
+    "replication.resyncs",
+    "replication.resyncs_verified",
+    "scrub.0.cycles",
+    "scrub.0.fragments_verified",
+    "scrub.0.mirrors_verified",
+    "scrub.0.repairs",
+    "scrub.0.repair_failures",
+)
+RAID_COUNTERS = (
+    "cluster.member_failures",
+    "cluster.member_replacements",
+    "health.marked_down",
+    "health.recoveries",
+    "health.transient_errors",
+    "recovery.member_kills_injected",
+    "recovery.member_replacements_injected",
+    "raid.0.degraded_reads",
+    "raid.0.degraded_writes",
+    "raid.0.journal_arms",
+    "raid.0.member_failures",
+    "raid.0.member_replacements",
+    "raid.0.parity_writes",
+    "raid.0.rebuild.chunks",
+    "raid.0.rebuild.steps_yielded",
+    "raid.0.segments_reconstructed",
+)
+SHARD_COUNTERS = (
+    "cluster.shard_failures",
+    "cluster.shard_restarts",
+    "cluster.shards_added",
+    "health.marked_down",
+    "health.recoveries",
+    "naming_shard.failovers",
+    "naming_shard.fan_outs",
+    "naming_shard.migrations_aborted",
+    "naming_shard.migrations_completed",
+    "naming_shard.migrations_started",
+    "naming_shard.redirects",
+    "naming_shard.resyncs",
+    "naming_shard.streamed_bindings",
+    "recovery.shard_kills_injected",
+    "recovery.shard_restarts_injected",
+    "rpc.breaker_opens",
+    "rpc.retransmissions",
+)
+
+# ------------------------------------------------------------ catalogue
+
+#: Three volumes, replication degree two, write-through: every acked
+#: write is on the platters of both replicas.
+_REPLICATED = {
+    "n_disks": 3,
+    "replication_degree": 2,
+    "write_policy": WritePolicy.WRITE_THROUGH,
+}
+_RETRY = {"rpc_backoff": BACKOFF, "rpc_breaker": BREAKER}
+_CRASH_CHECKS = (
+    "replicas_converged", "agent_durable", "orphans_swept", "failures_in_windows"
+)
+
+#: One RAID-5 volume of 64 MB members (long enough a rebuild to
+#: overlap dozens of foreground steps, short enough to finish within
+#: the run), every cache off so each read reaches the platters and
+#: degraded reads really exercise XOR reconstruction.
+_RAID5 = {
+    "n_disks": 1,
+    "geometry": DiskGeometry.small(),
+    "replication_degree": 1,
+    "fault_profile": FaultProfile.reliable(),
+    "write_policy": WritePolicy.WRITE_THROUGH,
+    "server_cache_blocks": 0,
+    "disk_cache_tracks": 0,
+    "disk_readahead": False,
+    "raid_level": "raid5",
+    "raid_members": 4,
+    "raid_chunk_sectors": 64,
+    "raid_rebuild_chunks": 32,
+}
+
+#: Crash volume 0 once, then volume 1, windows disjoint so one replica
+#: of every replicated file is live at all times.
+ALTERNATING = (
+    FailureEvent(at_us=300_000, volume_id=0, down_us=400_000),
+    FailureEvent(at_us=1_400_000, volume_id=1, down_us=400_000),
+)
+
+SCENARIOS: Tuple[Scenario, ...] = (
+    Scenario(
+        name="clean_restarts",
+        description="reliable bus; alternating single-volume crashes",
+        workload="mixed",
+        config={**_REPLICATED, **_RETRY, "fault_profile": FaultProfile.reliable()},
+        events=ALTERNATING,
+        steps=420,
+        checks=_CRASH_CHECKS,
+    ),
+    Scenario(
+        name="lossy_bus",
+        description="message loss/duplication/reordering during the crashes",
+        workload="mixed",
+        config={
+            **_REPLICATED,
+            **_RETRY,
+            "fault_profile": FaultProfile(
+                request_loss=0.05, reply_loss=0.05, duplication=0.02, reorder=0.02
+            ),
+        },
+        events=ALTERNATING,
+        steps=420,
+        checks=_CRASH_CHECKS,
+    ),
+    Scenario(
+        name="reorder_heavy",
+        description="heavy reordering; one crash window",
+        workload="mixed",
+        config={
+            **_REPLICATED,
+            **_RETRY,
+            "fault_profile": FaultProfile(duplication=0.05, reorder=0.10),
+        },
+        events=(FailureEvent(at_us=500_000, volume_id=0, down_us=400_000),),
+        steps=360,
+        checks=_CRASH_CHECKS,
+    ),
+    Scenario(
+        # The second crash hits while the breaker's memory of the first
+        # is fresh.
+        name="back_to_back",
+        description="volume 0 crashes twice in quick succession",
+        workload="mixed",
+        config={
+            **_REPLICATED,
+            **_RETRY,
+            "fault_profile": FaultProfile(request_loss=0.03, reply_loss=0.03),
+        },
+        events=(
+            FailureEvent(at_us=300_000, volume_id=0, down_us=300_000),
+            FailureEvent(at_us=1_000_000, volume_id=0, down_us=300_000),
+        ),
+        steps=420,
+        checks=_CRASH_CHECKS,
+    ),
+    Scenario(
+        name="scrub_latent_rot",
+        description="silent at-rest byte flips; scrub + mirror/replica repair",
+        workload="rot",
+        config={**_REPLICATED, "fault_profile": FaultProfile.reliable()},
+        checks=("scrub_bounded", "media_repaired"),
+    ),
+    Scenario(
+        name="scrub_media_errors",
+        description="latent unreadable sectors; scrub + rewrite repair",
+        workload="media",
+        config={**_REPLICATED, "fault_profile": FaultProfile.reliable()},
+        checks=("scrub_bounded", "media_repaired"),
+    ),
+    Scenario(
+        # One member dies at 300 ms; its blank replacement arrives
+        # 400 ms later and rebuilds in the idle slots between operations.
+        name="raid_member_loss",
+        description="single member dies under mixed load; degraded "
+        "service, background rebuild, zero unavailability",
+        workload="raid",
+        config=_RAID5,
+        events=(
+            MemberFailureEvent(
+                at_us=300_000, volume_id=0, member_index=1, down_us=400_000
+            ),
+        ),
+        steps=240,
+        checks=("array_optimal", "agent_durable"),
+    ),
+    Scenario(
+        # Member 2 dies, is replaced, then dies *again* 60 ms into its
+        # own rebuild — the second kill must cancel the rebuild and drop
+        # the array back to degraded, never to FAILED (three healthy
+        # members remain).
+        name="raid_rebuild_interrupted",
+        description="rebuild target dies mid-rebuild (degrade, never "
+        "fail); finale exhausts redundancy and demands loud refusal",
+        workload="raid",
+        config=_RAID5,
+        events=(
+            MemberFailureEvent(
+                at_us=200_000, volume_id=0, member_index=2, down_us=300_000
+            ),
+            MemberFailureEvent(
+                at_us=560_000, volume_id=0, member_index=2, down_us=340_000
+            ),
+        ),
+        steps=240,
+        checks=("array_optimal", "agent_durable", "exhausted_array_refuses"),
+    ),
+    Scenario(
+        name="shard_death_metadata_storm",
+        description="a shard server dies mid-metadata-storm over a lossy "
+        "bus; resolves fail over to the replica, binds bounded to the "
+        "window, restart resyncs every acked binding",
+        workload="storm",
+        config={
+            **_RETRY,
+            "n_disks": 1,
+            "n_shards": 4,
+            "fault_profile": FaultProfile(
+                request_loss=0.03, reply_loss=0.03, duplication=0.02
+            ),
+        },
+        events=(ShardFailureEvent(at_us=400_000, shard_id=1, down_us=400_000),),
+        steps=360,
+        checks=("bindings_converged", "failures_in_windows", "failover_exercised"),
+    ),
+    Scenario(
+        # Direct calls: the interruption under test is the shard's, not
+        # the bus's.
+        name="rebalance_interrupted",
+        description="the migration destination dies mid-stream; the "
+        "migration aborts with zero resolve misses, then re-runs to "
+        "completion after the restart",
+        workload="rebalance",
+        config={**_RETRY, "n_disks": 1, "n_shards": 2},
+        checks=("bindings_converged",),
+    ),
+)
+
+BY_NAME: Dict[str, Scenario] = {scenario.name: scenario for scenario in SCENARIOS}
+
+
+def run_scenario(scenario: Scenario) -> Dict[str, object]:
     """Execute one scenario; returns its deterministic report dict."""
-    if isinstance(scenario, ScrubScenario):
-        return _ScrubRun(scenario).run()
-    if isinstance(scenario, RaidScenario):
-        return _RaidRun(scenario).run()
-    if isinstance(scenario, ShardScenario):
-        return _ShardRun(scenario).run()
     return _Run(scenario).run()
 
 
 def run_campaign(names: List[str]) -> Dict[str, object]:
     """Run the named scenarios; returns the full JSON document."""
-    by_name: Dict[str, object] = {
-        scenario.name: scenario
-        for scenario in (
-            *SCENARIOS,
-            *SCRUB_SCENARIOS,
-            *RAID_SCENARIOS,
-            *SHARD_SCENARIOS,
-        )
-    }
-    unknown = sorted(set(names) - set(by_name))
+    unknown = sorted(set(names) - set(BY_NAME))
     if unknown:
         raise SystemExit(
             f"unknown scenario(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(by_name))})"
+            f"(known: {', '.join(sorted(BY_NAME))})"
         )
     return {
         "schema_version": 1,
         "suite": "repro-availability",
-        "scenarios": {name: run_scenario(by_name[name]) for name in names},
+        "scenarios": {name: run_scenario(BY_NAME[name]) for name in names},
     }
 
 
@@ -1555,18 +1284,13 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos.availability",
         description=(
-            "Crash/restart availability campaign: mixed workload under "
-            "fault injection, SLO invariants, machine-readable report."
+            "Availability campaign: workloads under scripted failures, "
+            "SLO invariants, machine-readable report."
         ),
     )
     scope = parser.add_mutually_exclusive_group()
     scope.add_argument(
         "--all", action="store_true", help="run every scenario (default)"
-    )
-    scope.add_argument(
-        "--smoke",
-        action="store_true",
-        help=f"run the fast subset only: {', '.join(SMOKE_SCENARIOS)}",
     )
     scope.add_argument(
         "--only", nargs="+", metavar="NAME", help="run the named scenarios only"
@@ -1585,28 +1309,10 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
     if args.list:
-        for scenario in (
-            *SCENARIOS,
-            *SCRUB_SCENARIOS,
-            *RAID_SCENARIOS,
-            *SHARD_SCENARIOS,
-        ):
+        for scenario in SCENARIOS:
             print(f"{scenario.name:24s} {scenario.description}")
         return 0
-    if args.only:
-        names = list(args.only)
-    elif args.smoke:
-        names = list(SMOKE_SCENARIOS)
-    else:
-        names = [
-            scenario.name
-            for scenario in (
-                *SCENARIOS,
-                *SCRUB_SCENARIOS,
-                *RAID_SCENARIOS,
-                *SHARD_SCENARIOS,
-            )
-        ]
+    names = list(args.only) if args.only else list(BY_NAME)
     document = run_campaign(names)
     out_path = Path(args.out)
     out_path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")

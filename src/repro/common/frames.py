@@ -9,14 +9,13 @@ whole simulated world: two operations on two different disks cost the
 A :class:`ServiceFrame` is the deferred-time context one overlapped
 operation runs inside.  While a frame is open, components charge their
 delays to the frame's *cursor* (via :func:`charge_elapsed` or a
-disk's :class:`~repro.simdisk.timeline.DiskTimeline`) instead of the
-global clock.  On exit the cursor is the operation's completion time;
-the caller (a request pipeline or the cluster's concurrent driver)
-schedules the completion on the event loop, and the loop advances the
-clock event-to-event.  With no frame open, charging falls back to
-inline clock advancement — bit-identical to the historical blocking
-semantics, which is what keeps every sequential test and benchmark
-byte-stable.
+:class:`BusyTimeline`) instead of the global clock.  On exit the
+cursor is the operation's completion time; the caller (a request
+pipeline or the cluster's concurrent driver) schedules the completion
+on the event loop, and the loop advances the clock event-to-event.
+With no frame open, charging falls back to inline clock advancement —
+bit-identical to the historical blocking semantics, which is what
+keeps every sequential test and benchmark byte-stable.
 
 Frames nest (the innermost wins) and are keyed by clock instance, so
 independent simulated systems in one process never share a frame
@@ -24,6 +23,13 @@ stack.  :class:`FrameFork` expresses fan-out *within* an operation —
 e.g. a replicated write updating all replicas in parallel: branches
 replay from the fork point and the join advances the cursor to the
 slowest branch.
+
+A :class:`BusyTimeline` is a serial resource's busy-until horizon —
+one per disk, one per naming shard server.  It splits the two meanings
+an inline clock advance conflated: service time *charged* to the
+resource (``busy_until_us`` moves by every reservation) and the global
+clock *advanced* (only when somebody waits: blocking mode waits
+inline, a frame defers the wait to the event loop).
 
 Everything here is deterministic: time is integer microseconds, state
 is explicit, and nothing consults wall clock, dict order, or object
@@ -182,3 +188,85 @@ class FrameFork:
                 # mutually unordered (that is the fork's whole point).
                 mon.rejoin("fork.join", after=tuple(self._branch_tasks))
                 self._branch_tasks = []
+
+
+class BusyTimeline:
+    """One serial resource's busy-until timeline (a disk, a shard server).
+
+    Args:
+        clock: the shared simulated clock the timeline waits against.
+
+    Attributes:
+        busy_until_us: absolute time the resource finishes its last
+            accepted reservation; new charges start at
+            ``max(now, busy_until_us)``.
+        busy_total_us: cumulative service time ever charged — the
+            numerator of the utilization gauge.
+        last_wait_us: queue wait of the most recent charge (how long it
+            sat behind earlier reservations).
+    """
+
+    __slots__ = ("clock", "busy_until_us", "busy_total_us", "last_wait_us")
+
+    def __init__(self, clock: SimClock) -> None:
+        self.clock = clock
+        self.busy_until_us = 0
+        self.busy_total_us = 0
+        self.last_wait_us = 0
+
+    def charge(self, elapsed_us: float) -> tuple[int, int]:
+        """Charge one reservation's service time; returns ``(start, end)``.
+
+        With no frame active this blocks in simulated time — the global
+        clock advances to ``end`` exactly as an inline ``advance_us``
+        did for sequential callers.  Inside a :func:`service_frame`
+        only the frame cursor moves; the global clock is left for the
+        event loop to advance.
+        """
+        return self.charge_ceiled(ceil_us(elapsed_us))
+
+    def charge_ceiled(self, busy: int) -> tuple[int, int]:
+        """:meth:`charge` for a service time already in whole us.
+
+        The disk's service-time memo caches the ceiled integer next to
+        the raw float, so repeat references skip the rounding too.
+        """
+        # Reservation order is a real synchronization point: the
+        # resource serves charges in the order they reserved it.
+        # (Guarded so the no-monitor common case pays two attribute
+        # reads instead of a no-op method call.)
+        mon = _monitor.active()
+        if mon.enabled:
+            mon.chain(self)
+        frame = active_frame(self.clock)
+        now = frame.cursor_us if frame is not None else self.clock.now_us
+        start = max(now, self.busy_until_us)
+        end = start + busy
+        self.busy_until_us = end
+        self.busy_total_us += busy
+        self.last_wait_us = start - now
+        if frame is not None:
+            frame.cursor_us = end
+            frame.waited_us += start - now
+            frame.charged_us += busy
+        else:
+            self.clock.advance_to(end)
+        return start, end
+
+    def utilization_percent(self) -> int:
+        """Busy time as an integer percentage of elapsed simulated time.
+
+        Measured against the later of the global clock and the
+        timeline's own horizon, so deferred-mode reservations count as
+        elapsed time instead of inflating the ratio past 100.
+        """
+        horizon = max(self.clock.now_us, self.busy_until_us)
+        if horizon <= 0:
+            return 0
+        return min(100, self.busy_total_us * 100 // horizon)
+
+    def __repr__(self) -> str:
+        return (
+            f"BusyTimeline(busy_until_us={self.busy_until_us}, "
+            f"busy_total_us={self.busy_total_us})"
+        )

@@ -6,7 +6,7 @@ a queued, schedulable service: ``submit_get``/``submit_put`` enqueue a
 :class:`~repro.simkernel.future.Completion`; whenever the drive is
 idle the pluggable :class:`~repro.disk_service.scheduler.DiskScheduler`
 picks the next request (or coalesced batch), the pipeline executes it
-inside a deferred-time :func:`~repro.simdisk.timeline.service_frame`
+inside a deferred-time :func:`~repro.common.frames.service_frame`
 (charging the disk's timeline, not the global clock), and the
 completion is delivered by the shared event loop at the modelled
 finish time.  Because every disk has its own timeline, requests to
@@ -33,7 +33,7 @@ from repro.disk_service.addresses import Extent
 from repro.disk_service.queue import DiskRequest, RequestQueue
 from repro.disk_service.scheduler import DiskScheduler, FcfsScheduler
 from repro.disk_service.server import DiskServer, Source, Stability, SyncMode
-from repro.simdisk.timeline import service_frame
+from repro.common.frames import service_frame
 from repro.simkernel.future import Completion
 from repro.simkernel.loop import EventLoop
 

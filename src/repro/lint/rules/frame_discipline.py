@@ -16,8 +16,8 @@ stop meaning anything:
    a frame's clock without the max/replay bookkeeping ``charge_elapsed``
    and ``FrameFork`` maintain, leaking time across frame boundaries.
    Service code *charges*; only :data:`ALLOWED_CURSOR_MODULES` — the
-   frame substrate and the per-disk timeline that prices reservations
-   under it — may move a cursor by hand.
+   frame substrate (busy timelines included) and the disk's inlined
+   copy of a timeline charge — may move a cursor by hand.
 """
 
 from __future__ import annotations
@@ -30,17 +30,13 @@ from repro.lint.framework import Finding, ParsedModule, Rule, register
 #: Modules reviewed as legitimate direct movers of a frame cursor.
 ALLOWED_CURSOR_MODULES: FrozenSet[str] = frozenset(
     {
-        # the frame substrate itself (charge_elapsed, FrameFork replay)
+        # the frame substrate itself (charge_elapsed, FrameFork replay,
+        # BusyTimeline reservations)
         "repro.common.frames",
-        # per-disk busy-until reservations advance the frame they serve
-        "repro.simdisk.timeline",
-        # the disk's reference paths inline DiskTimeline.charge_ceiled
+        # the disk's reference paths inline BusyTimeline.charge_ceiled
         # operation for operation (DESIGN.md §13) and therefore move
         # the cursor exactly where the timeline would
         "repro.simdisk.disk",
-        # the shard server's busy-until timeline prices metadata ops
-        # under the same reservation discipline as a disk's
-        "repro.naming.shard",
     }
 )
 
@@ -56,7 +52,7 @@ class FrameDisciplineRule(Rule):
     hint = (
         "join every FrameFork (the join charges the slowest branch), "
         "enter branch() with a with-statement, and move frame time by "
-        "charging (charge_elapsed / DiskTimeline.charge) — only the "
+        "charging (charge_elapsed / BusyTimeline.charge) — only the "
         "substrate modules in repro.lint.rules.frame_discipline."
         "ALLOWED_CURSOR_MODULES assign cursor_us directly"
     )

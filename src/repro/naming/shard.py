@@ -36,7 +36,8 @@ incoming set and bumps the map in one atomic instant — the
 arbitration that makes a resolve miss structurally impossible.
 
 Time: every shard operation charges ``service_us`` to the shard's
-:class:`ShardTimeline` — the shard server's busy-until resource —
+:class:`~repro.common.frames.BusyTimeline` — the shard server's
+busy-until resource, the same class a disk reserves —
 so concurrent metadata operations overlap across shards exactly as
 disk requests overlap across spindles, and aggregate metadata
 throughput scales with shard count under ``run_concurrent`` (E20).
@@ -57,7 +58,7 @@ from repro.common.errors import (
     ShardDownError,
     WrongShardError,
 )
-from repro.common.frames import active_frame
+from repro.common.frames import BusyTimeline
 from repro.common.ids import SystemName, monotonic_id_factory
 from repro.common.metrics import Metrics
 from repro.naming.attributed import AttributedName, ObjectType
@@ -202,41 +203,6 @@ class ShardMap:
         return f"ShardMap(epoch={self.epoch}, slots={counts})"
 
 
-class ShardTimeline:
-    """A shard server's busy-until resource (the CPU it resolves on).
-
-    The metadata analogue of :class:`~repro.simdisk.timeline.DiskTimeline`:
-    inside a service frame the charge reserves the next free interval
-    at or after the frame cursor and moves the cursor to its end, so
-    operations on different shards overlap while operations on one
-    shard serialize; with no frame open it blocks the global clock
-    inline, bit-identical to the sequential semantics.
-    """
-
-    __slots__ = ("clock", "busy_until_us")
-
-    def __init__(self, clock: SimClock) -> None:
-        self.clock = clock
-        self.busy_until_us = 0
-
-    def charge(self, service_us: int) -> None:
-        if service_us <= 0:
-            return
-        frame = active_frame(self.clock)
-        if frame is None:
-            start = max(self.clock.now_us, self.busy_until_us)
-            end = start + service_us
-            self.busy_until_us = end
-            self.clock.advance_to(end)
-            return
-        start = max(frame.cursor_us, self.busy_until_us)
-        end = start + service_us
-        frame.waited_us += start - frame.cursor_us
-        frame.charged_us += service_us
-        frame.cursor_us = end
-        self.busy_until_us = end
-
-
 class NamingShard:
     """One shard server: a slot-checked ``NamingService`` plus a
     replica store for its ring predecessor.
@@ -262,7 +228,7 @@ class NamingShard:
         self.clock = clock
         self.metrics = metrics
         self.service_us = service_us
-        self.timeline = ShardTimeline(clock)
+        self.timeline = BusyTimeline(clock)
         self.service = NamingService(metrics)
         #: Replica copy of the ring predecessor's primary table.  Kept
         #: on a private registry so mirrored writes don't double the
@@ -298,7 +264,10 @@ class NamingShard:
         if self.crashed:
             raise ShardDownError(f"shard {self.shard_id} is down")
         self._ops.add()
-        self.timeline.charge(self.service_us)
+        # A free shard never touches its timeline: even a zero charge
+        # would wait out the busy horizon in blocking mode.
+        if self.service_us > 0:
+            self.timeline.charge_ceiled(self.service_us)
 
     def _check_owner(self, key: str) -> int:
         slot = slot_of(key, self.map.n_slots)

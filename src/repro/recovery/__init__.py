@@ -13,9 +13,9 @@ repair loop:
   *permanent* ones (a crashed volume), and broadcasts recovery events
   so repair work (replica resync, orphan sweeps) starts automatically.
 * :class:`FailureSchedule` — a deterministic crash/restart script in
-  simulated time.  Driven from the shared clock it takes named volumes
-  down mid-workload and restarts them through the ordinary recovery
-  path, so recovery is always exercised against concurrent traffic
+  simulated time.  Driven from the shared clock it takes named volumes,
+  RAID members and naming shards down mid-workload and repairs them
+  through the ordinary recovery path, so recovery is always exercised against concurrent traffic
   rather than a quiesced system.
 
 Both are pure state machines over :mod:`repro.common` — the layers
@@ -27,9 +27,9 @@ from repro.recovery.health import HealthRegistry, HealthState
 from repro.recovery.schedule import (
     FailureEvent,
     FailureSchedule,
+    LifecycleHost,
     MemberFailureEvent,
-    MemberLifecycleHost,
-    VolumeLifecycleHost,
+    ShardFailureEvent,
 )
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "HealthState",
     "FailureEvent",
     "FailureSchedule",
+    "LifecycleHost",
     "MemberFailureEvent",
-    "MemberLifecycleHost",
-    "VolumeLifecycleHost",
+    "ShardFailureEvent",
 ]

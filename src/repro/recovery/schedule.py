@@ -1,17 +1,25 @@
 """Deterministic crash/restart scripts in simulated time.
 
-A :class:`FailureSchedule` is a list of :class:`FailureEvent` — "at
-simulated time *t*, take volume *v* down for *d* microseconds" — polled
-from a workload loop.  Because the simulation is single-threaded,
-crashes land *between* operations, never inside a physical write; the
-sub-write crash atomicity story belongs to the crash-point sweep
+A :class:`FailureSchedule` is a list of scripted events — "at simulated
+time *t*, take component *c* down for *d* microseconds" — polled from a
+workload loop.  Three event types exist: a volume crash/restart
+(:class:`FailureEvent`), a RAID member kill/replace
+(:class:`MemberFailureEvent`) and a naming-shard kill/restart
+(:class:`ShardFailureEvent`).  Each supplies its overlap key, its host
+fail/repair calls, its counter names and its log text, so the schedule
+has one overlap check, one pending queue and one fire path for all of
+them.
+
+Because the simulation is single-threaded, crashes land *between*
+operations, never inside a physical write; the sub-write crash
+atomicity story belongs to the crash-point sweep
 (:mod:`repro.chaos.scheduler`).  What the schedule adds is the other
 half of the reliability claim: recovery running **concurrently with
-traffic** — the workload keeps issuing operations while a volume is
+traffic** — the workload keeps issuing operations while a component is
 down and while its restart/resync is in progress.
 
 The schedule is pure bookkeeping: the actual crash and restart are
-performed by a :class:`VolumeLifecycleHost` (in practice
+performed by a :class:`LifecycleHost` (in practice
 :class:`~repro.cluster.system.RhodosCluster`), so this module depends
 only on :mod:`repro.common`.
 """
@@ -19,35 +27,108 @@ only on :mod:`repro.common`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple, Union
+from typing import ClassVar, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
 
 
+class LifecycleHost(Protocol):
+    """What a schedule drives: something that can fail and repair
+    every kind of component an event can name (in practice
+    :class:`~repro.cluster.system.RhodosCluster`)."""
+
+    def fail_volume(self, volume_id: int) -> None: ...
+
+    def restart_volume(self, volume_id: int) -> None: ...
+
+    def fail_member(self, volume_id: int, member_index: int) -> None: ...
+
+    def replace_member(self, volume_id: int, member_index: int) -> object: ...
+
+    def fail_shard(self, shard_id: int) -> None: ...
+
+    def restart_shard(self, shard_id: int) -> None: ...
+
+
+class _Scripted:
+    """What every event type supplies to the schedule's one code path.
+
+    Subclasses are frozen dataclasses with ``at_us`` and ``down_us``
+    fields and set the class constants below.
+    """
+
+    __slots__ = ()
+
+    #: Same-instant firing order among event types (repairs of every
+    #: type still precede every failure at one instant).
+    RANK: ClassVar[int]
+    #: Log verbs of the failure and the repair.
+    VERBS: ClassVar[Tuple[str, str]]
+    #: ``recovery.*`` counters bumped by the failure and the repair.
+    COUNTERS: ClassVar[Tuple[str, str]]
+
+    at_us: int
+    down_us: int
+
+    def __post_init__(self) -> None:
+        if self.at_us < 0:
+            raise ValueError(f"{self.VERBS[0]} time cannot be negative")
+        if self.down_us <= 0:
+            raise ValueError("downtime must be positive")
+        if min(self.key) < 0:
+            raise ValueError(f"{self.target}: ids cannot be negative")
+
+    @property
+    def key(self) -> Tuple[int, ...]:
+        """The failing component; windows of one key must not overlap."""
+        raise NotImplementedError
+
+    @property
+    def target(self) -> str:
+        """The component as the lifecycle log names it."""
+        raise NotImplementedError
+
+    def fail(self, host: LifecycleHost) -> None:
+        raise NotImplementedError
+
+    def repair(self, host: LifecycleHost) -> None:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True, slots=True)
-class FailureEvent:
+class FailureEvent(_Scripted):
     """One crash/restart pair: down at ``at_us``, back ``down_us`` later."""
+
+    RANK = 0
+    VERBS = ("crash", "restart")
+    COUNTERS = ("recovery.crashes_injected", "recovery.restarts_injected")
 
     at_us: int
     volume_id: int
     down_us: int
 
-    def __post_init__(self) -> None:
-        if self.at_us < 0:
-            raise ValueError("crash time cannot be negative")
-        if self.down_us <= 0:
-            raise ValueError("downtime must be positive")
-        if self.volume_id < 0:
-            raise ValueError("volume id cannot be negative")
-
     @property
     def restart_at_us(self) -> int:
         return self.at_us + self.down_us
 
+    @property
+    def key(self) -> Tuple[int, ...]:
+        return (self.volume_id,)
+
+    @property
+    def target(self) -> str:
+        return f"volume {self.volume_id}"
+
+    def fail(self, host: LifecycleHost) -> None:
+        host.fail_volume(self.volume_id)
+
+    def repair(self, host: LifecycleHost) -> None:
+        host.restart_volume(self.volume_id)
+
 
 @dataclass(frozen=True, slots=True)
-class MemberFailureEvent:
+class MemberFailureEvent(_Scripted):
     """One member-disk kill/replace pair for a RAID-backed volume.
 
     "Disk ``member_index`` of volume ``volume_id`` dies at ``at_us``;
@@ -58,28 +139,39 @@ class MemberFailureEvent:
     background rebuild.
     """
 
+    RANK = 1
+    VERBS = ("kill", "replace")
+    COUNTERS = (
+        "recovery.member_kills_injected",
+        "recovery.member_replacements_injected",
+    )
+
     at_us: int
     volume_id: int
     member_index: int
     down_us: int
 
-    def __post_init__(self) -> None:
-        if self.at_us < 0:
-            raise ValueError("member kill time cannot be negative")
-        if self.down_us <= 0:
-            raise ValueError("replacement lag must be positive")
-        if self.volume_id < 0:
-            raise ValueError("volume id cannot be negative")
-        if self.member_index < 0:
-            raise ValueError("member index cannot be negative")
-
     @property
     def replace_at_us(self) -> int:
         return self.at_us + self.down_us
 
+    @property
+    def key(self) -> Tuple[int, ...]:
+        return (self.volume_id, self.member_index)
+
+    @property
+    def target(self) -> str:
+        return f"member {self.member_index} of volume {self.volume_id}"
+
+    def fail(self, host: LifecycleHost) -> None:
+        host.fail_member(self.volume_id, self.member_index)
+
+    def repair(self, host: LifecycleHost) -> None:
+        host.replace_member(self.volume_id, self.member_index)
+
 
 @dataclass(frozen=True, slots=True)
-class ShardFailureEvent:
+class ShardFailureEvent(_Scripted):
     """One naming-shard kill/restart pair.
 
     "Shard server ``shard_id`` crashes at ``at_us`` and restarts
@@ -89,84 +181,51 @@ class ShardFailureEvent:
     resyncs the primary from that replica.
     """
 
+    RANK = 2
+    VERBS = ("kill", "restart")
+    COUNTERS = (
+        "recovery.shard_kills_injected",
+        "recovery.shard_restarts_injected",
+    )
+
     at_us: int
     shard_id: int
     down_us: int
 
-    def __post_init__(self) -> None:
-        if self.at_us < 0:
-            raise ValueError("shard kill time cannot be negative")
-        if self.down_us <= 0:
-            raise ValueError("downtime must be positive")
-        if self.shard_id < 0:
-            raise ValueError("shard id cannot be negative")
-
     @property
     def restart_at_us(self) -> int:
         return self.at_us + self.down_us
+
+    @property
+    def key(self) -> Tuple[int, ...]:
+        return (self.shard_id,)
+
+    @property
+    def target(self) -> str:
+        return f"shard {self.shard_id}"
+
+    def fail(self, host: LifecycleHost) -> None:
+        host.fail_shard(self.shard_id)
+
+    def repair(self, host: LifecycleHost) -> None:
+        host.restart_shard(self.shard_id)
 
 
 #: Anything a schedule can script.
 ScheduledEvent = Union[FailureEvent, MemberFailureEvent, ShardFailureEvent]
 
 
-class VolumeLifecycleHost(Protocol):
-    """What a schedule drives: something that can crash and restart volumes."""
-
-    def fail_volume(self, volume_id: int) -> None: ...
-
-    def restart_volume(self, volume_id: int) -> None: ...
-
-
-class MemberLifecycleHost(VolumeLifecycleHost, Protocol):
-    """A host that can additionally kill/replace RAID member disks.
-
-    Only required when the schedule contains
-    :class:`MemberFailureEvent` entries (in practice
-    :class:`~repro.cluster.system.RhodosCluster` with a RAID config).
-    """
-
-    def fail_member(self, volume_id: int, member_index: int) -> None: ...
-
-    def replace_member(self, volume_id: int, member_index: int) -> object: ...
-
-
-class ShardLifecycleHost(VolumeLifecycleHost, Protocol):
-    """A host that can additionally kill/restart naming shard servers.
-
-    Only required when the schedule contains
-    :class:`ShardFailureEvent` entries (in practice
-    :class:`~repro.cluster.system.RhodosCluster` with ``n_shards > 1``).
-    """
-
-    def fail_shard(self, shard_id: int) -> None: ...
-
-    def restart_shard(self, shard_id: int) -> None: ...
-
-
 class FailureSchedule:
-    """Polls the clock and fires due crash/restart events, in order.
+    """Polls the clock and fires due failure/repair actions, in order.
 
     Args:
         events: the script — volume crash/restart pairs, RAID member
             kill/replace pairs, and naming-shard kill/restart pairs,
-            freely mixed; windows of the same volume (or the same
-            member of the same volume, or the same shard) must not
-            overlap.
+            freely mixed; windows of the same component (one volume,
+            one member of one volume, one shard) must not overlap.
         clock: the shared simulated clock the script reads.
         metrics: optional registry (``recovery.*`` counters).
     """
-
-    #: Action kinds; the numeric order is the same-instant firing order,
-    #: so every repair precedes every failure scheduled at that time.
-    (
-        _RESTART,
-        _REPLACE,
-        _SHARD_RESTART,
-        _CRASH,
-        _KILL,
-        _SHARD_KILL,
-    ) = range(6)
 
     def __init__(
         self,
@@ -177,83 +236,30 @@ class FailureSchedule:
     ) -> None:
         self.clock = clock
         self.metrics = metrics or Metrics()
-        volume_events = sorted(
-            (e for e in events if isinstance(e, FailureEvent)),
-            key=lambda e: (e.at_us, e.volume_id),
+        self._events: Tuple[ScheduledEvent, ...] = tuple(
+            sorted(events, key=lambda e: (e.RANK, e.at_us, e.key))
         )
-        member_events = sorted(
-            (e for e in events if isinstance(e, MemberFailureEvent)),
-            key=lambda e: (e.at_us, e.volume_id, e.member_index),
-        )
-        shard_events = sorted(
-            (e for e in events if isinstance(e, ShardFailureEvent)),
-            key=lambda e: (e.at_us, e.shard_id),
-        )
-        last_restart: dict[int, int] = {}
-        for event in volume_events:
-            previous = last_restart.get(event.volume_id)
+        #: Actions not yet fired: (time, failing, rank, key, seq, event).
+        #: The sort puts every repair before every failure due at the
+        #: same instant, then orders by event type and component.
+        pending = []
+        last_repair: dict[tuple, int] = {}
+        for seq, event in enumerate(self._events):
+            component = (event.RANK, event.key)
+            previous = last_repair.get(component)
             if previous is not None and event.at_us < previous:
                 raise ValueError(
-                    f"volume {event.volume_id}: crash at {event.at_us}us "
+                    f"{event.target}: {event.VERBS[0]} at {event.at_us}us "
                     f"overlaps the window ending at {previous}us"
                 )
-            last_restart[event.volume_id] = event.restart_at_us
-        last_replace: dict[tuple[int, int], int] = {}
-        for event in member_events:
-            slot = (event.volume_id, event.member_index)
-            previous = last_replace.get(slot)
-            if previous is not None and event.at_us < previous:
-                raise ValueError(
-                    f"volume {event.volume_id} member {event.member_index}: "
-                    f"kill at {event.at_us}us overlaps the window "
-                    f"ending at {previous}us"
-                )
-            last_replace[slot] = event.replace_at_us
-        last_shard_restart: dict[int, int] = {}
-        for event in shard_events:
-            previous = last_shard_restart.get(event.shard_id)
-            if previous is not None and event.at_us < previous:
-                raise ValueError(
-                    f"shard {event.shard_id}: kill at {event.at_us}us "
-                    f"overlaps the window ending at {previous}us"
-                )
-            last_shard_restart[event.shard_id] = event.restart_at_us
-        #: (time, kind, volume-or-shard, member) actions not yet fired;
-        #: member is -1 for volume- and shard-level actions.
-        self._pending: List[Tuple[int, int, int, int]] = sorted(
-            [(e.at_us, self._CRASH, e.volume_id, -1) for e in volume_events]
-            + [
-                (e.restart_at_us, self._RESTART, e.volume_id, -1)
-                for e in volume_events
-            ]
-            + [
-                (e.at_us, self._KILL, e.volume_id, e.member_index)
-                for e in member_events
-            ]
-            + [
-                (e.replace_at_us, self._REPLACE, e.volume_id, e.member_index)
-                for e in member_events
-            ]
-            + [
-                (e.at_us, self._SHARD_KILL, e.shard_id, -1)
-                for e in shard_events
-            ]
-            + [
-                (e.restart_at_us, self._SHARD_RESTART, e.shard_id, -1)
-                for e in shard_events
-            ]
-        )
-        self._events = (
-            tuple(volume_events) + tuple(member_events) + tuple(shard_events)
-        )
-        self._down_since: dict[int, int] = {}
-        self._windows: List[Tuple[int, int, int]] = []  # (volume, start, end)
-        self._member_down_since: dict[tuple[int, int], int] = {}
-        #: Completed (volume, member, killed_at, replaced_at) windows.
-        self._member_windows: List[Tuple[int, int, int, int]] = []
-        self._shard_down_since: dict[int, int] = {}
-        #: Completed (shard, killed_at, restarted_at) windows.
-        self._shard_windows: List[Tuple[int, int, int]] = []
+            repair_at = event.at_us + event.down_us
+            last_repair[component] = repair_at
+            pending.append((event.at_us, True, event.RANK, event.key, seq, event))
+            pending.append((repair_at, False, event.RANK, event.key, seq, event))
+        self._pending = sorted(pending)
+        self._down_since: dict[tuple, int] = {}
+        #: Completed (event type, key, down_at, repaired_at) windows.
+        self._windows: List[Tuple[type, Tuple[int, ...], int, int]] = []
 
     # ----------------------------------------------------------- api
 
@@ -268,62 +274,30 @@ class FailureSchedule:
         """Simulated time of the next unfired action (None when done)."""
         return self._pending[0][0] if self._pending else None
 
-    def poll(self, host: VolumeLifecycleHost) -> List[str]:
+    def poll(self, host: LifecycleHost) -> List[str]:
         """Fire every action due at the current clock; returns a log.
 
         Call between workload operations.  Actions fire in scripted
         time order even when the clock jumped past several of them, so
-        a restart always precedes a later crash of the same volume.
+        a repair always precedes a later failure of the same component.
         """
         actions: List[str] = []
         now = self.clock.now_us
         while self._pending and self._pending[0][0] <= now:
-            at_us, kind, volume_id, member = self._pending.pop(0)
-            if kind == self._CRASH:
-                self._down_since[volume_id] = at_us
-                host.fail_volume(volume_id)
-                self.metrics.add("recovery.crashes_injected")
-                actions.append(f"t={at_us}us crash volume {volume_id}")
-            elif kind == self._RESTART:
-                started = self._down_since.pop(volume_id, at_us)
-                self._windows.append((volume_id, started, at_us))
-                host.restart_volume(volume_id)
-                self.metrics.add("recovery.restarts_injected")
-                actions.append(f"t={at_us}us restart volume {volume_id}")
-            elif kind == self._KILL:
-                self._member_down_since[(volume_id, member)] = at_us
-                host.fail_member(volume_id, member)
-                self.metrics.add("recovery.member_kills_injected")
-                actions.append(
-                    f"t={at_us}us kill member {member} of volume {volume_id}"
-                )
-            elif kind == self._REPLACE:
-                started = self._member_down_since.pop(
-                    (volume_id, member), at_us
-                )
-                self._member_windows.append(
-                    (volume_id, member, started, at_us)
-                )
-                host.replace_member(volume_id, member)
-                self.metrics.add("recovery.member_replacements_injected")
-                actions.append(
-                    f"t={at_us}us replace member {member} "
-                    f"of volume {volume_id}"
-                )
-            elif kind == self._SHARD_KILL:
-                self._shard_down_since[volume_id] = at_us
-                host.fail_shard(volume_id)
-                self.metrics.add("recovery.shard_kills_injected")
-                actions.append(f"t={at_us}us kill shard {volume_id}")
+            at_us, failing, rank, key, _seq, event = self._pending.pop(0)
+            if failing:
+                self._down_since[(rank, key)] = at_us
+                event.fail(host)
             else:
-                started = self._shard_down_since.pop(volume_id, at_us)
-                self._shard_windows.append((volume_id, started, at_us))
-                host.restart_shard(volume_id)
-                self.metrics.add("recovery.shard_restarts_injected")
-                actions.append(f"t={at_us}us restart shard {volume_id}")
+                started = self._down_since.pop((rank, key), at_us)
+                self._windows.append((type(event), key, started, at_us))
+                event.repair(host)
+            step = 0 if failing else 1
+            self.metrics.add(event.COUNTERS[step])
+            actions.append(f"t={at_us}us {event.VERBS[step]} {event.target}")
         return actions
 
-    def run_out(self, host: VolumeLifecycleHost) -> List[str]:
+    def run_out(self, host: LifecycleHost) -> List[str]:
         """Advance the clock through every remaining action and fire it.
 
         Used at end-of-workload so a run always converges to a fully
@@ -335,17 +309,24 @@ class FailureSchedule:
             actions.extend(self.poll(host))
         return actions
 
-    def downtime_windows(self) -> List[Tuple[int, int, int]]:
+    def _windows_of(self, kind: type) -> List[Tuple[int, ...]]:
+        return [
+            (*key, start, end)
+            for event_type, key, start, end in self._windows
+            if event_type is kind
+        ]
+
+    def downtime_windows(self) -> List[Tuple[int, ...]]:
         """Completed (volume_id, down_at_us, restarted_at_us) windows."""
-        return list(self._windows)
+        return self._windows_of(FailureEvent)
 
-    def member_windows(self) -> List[Tuple[int, int, int, int]]:
+    def member_windows(self) -> List[Tuple[int, ...]]:
         """Completed (volume, member, killed_at, replaced_at) windows."""
-        return list(self._member_windows)
+        return self._windows_of(MemberFailureEvent)
 
-    def shard_windows(self) -> List[Tuple[int, int, int]]:
+    def shard_windows(self) -> List[Tuple[int, ...]]:
         """Completed (shard_id, killed_at, restarted_at) windows."""
-        return list(self._shard_windows)
+        return self._windows_of(ShardFailureEvent)
 
     def __repr__(self) -> str:
         return (

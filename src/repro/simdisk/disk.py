@@ -4,7 +4,7 @@ A :class:`SimDisk` is a sector store combined with the timing model and
 fault injector.  Every call to :meth:`read_sectors` or
 :meth:`write_sectors` is **one disk reference** — the quantity the
 paper's whole design minimises — and charges the modelled service time
-to the disk's own :class:`~repro.simdisk.timeline.DiskTimeline` while
+to the disk's own :class:`~repro.common.frames.BusyTimeline` while
 tracking head position across requests.  With no service frame active
 the timeline waits inline (the classic blocking semantics); inside a
 frame the charge is deferred, which is what lets requests overlap
@@ -37,13 +37,12 @@ from repro.common.errors import (
 # costs one dict probe instead of a function call per reference.  The
 # simulation is single-threaded by construction (DESIGN.md §2), so the
 # probe sees exactly what active_frame would return.
-from repro.common.frames import _FRAMES, ceil_us
+from repro.common.frames import _FRAMES, BusyTimeline, ceil_us
 from repro.common.metrics import Metrics
 from repro.common.trace import NULL_TRACER, Tracer
 from repro.simdisk.faults import FaultInjector
 from repro.simdisk.geometry import DiskGeometry
 from repro.simdisk.store import SectorStore
-from repro.simdisk.timeline import DiskTimeline
 from repro.simdisk.timing import DiskTimingModel
 
 
@@ -108,7 +107,7 @@ class SimDisk:
         timing: Optional[DiskTimingModel] = None,
         faults: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
-        timeline: Optional[DiskTimeline] = None,
+        timeline: Optional[BusyTimeline] = None,
     ) -> None:
         self.disk_id = disk_id
         self.geometry = geometry
@@ -117,7 +116,7 @@ class SimDisk:
         self.tracer = tracer or NULL_TRACER
         self.timing = timing or DiskTimingModel()
         self.faults = faults or FaultInjector()
-        self.timeline = timeline or DiskTimeline(clock)
+        self.timeline = timeline or BusyTimeline(clock)
         self._sectors = SectorStore(geometry.sector_size)
         self._head_cylinder = 0
         self._head_angular = 0.0
@@ -205,8 +204,8 @@ class SimDisk:
         # Inlined in both reference paths: at campaign scale even the
         # one method call per reference that a shared helper would cost
         # is measurable.  _service_lookup documents the memo; the
-        # timeline update is DiskTimeline.charge_ceiled operation for
-        # operation (that module keeps the readable original), and an
+        # timeline update is BusyTimeline.charge_ceiled operation for
+        # operation (frames keeps the readable original), and an
         # installed race monitor sees the same chain() on the same
         # timeline.
         key = (self._head_cylinder, self._head_angular, start, n_sectors)
@@ -298,8 +297,8 @@ class SimDisk:
         # Inlined in both reference paths: at campaign scale even the
         # one method call per reference that a shared helper would cost
         # is measurable.  _service_lookup documents the memo; the
-        # timeline update is DiskTimeline.charge_ceiled operation for
-        # operation (that module keeps the readable original), and an
+        # timeline update is BusyTimeline.charge_ceiled operation for
+        # operation (frames keeps the readable original), and an
         # installed race monitor sees the same chain() on the same
         # timeline.
         key = (self._head_cylinder, self._head_angular, start, n_sectors)

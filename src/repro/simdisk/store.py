@@ -18,16 +18,15 @@ torn-write case) over a chunked ``bytearray`` layout:
 * writes splice payload bytes into chunks through one ``memoryview``,
   no per-sector slicing.
 
-:class:`LegacySectorStore` preserves the original per-sector dict
-implementation as the behavioural oracle: the differential property
-test (``tests/simdisk/test_store.py``) drives both stores with the same
-operation sequences and requires byte-identical results, and the M1
-meta-benchmark uses it as the pre-optimization baseline lane.
+The original per-sector dict store survives in the test suite as the
+behavioural oracle: the differential property test
+(``tests/simdisk/test_store.py``) drives both stores with the same
+operation sequences and requires byte-identical results.
 
-Neither store is a crash-point surface by itself: physical-write
+The store is not a crash-point surface by itself: physical-write
 discipline (``note_write`` before mutation) is enforced at the
 :class:`SimDisk` call sites by the ``crash-point-discipline`` lint
-rule, which knows these stores' mutator names.
+rule, which knows the store's mutator names.
 """
 
 from __future__ import annotations
@@ -162,44 +161,3 @@ class SectorStore:
             f"{self.chunk_sectors} x {self.sector_size} B)"
         )
 
-
-class LegacySectorStore:
-    """The original ``Dict[int, bytes]`` per-sector store.
-
-    Kept verbatim as the oracle for the differential property test and
-    as the M1 meta-benchmark's pre-optimization lane — not used by any
-    production path.
-    """
-
-    __slots__ = ("sector_size", "_by_sector", "_zero")
-
-    def __init__(self, sector_size: int) -> None:
-        if sector_size <= 0:
-            raise ValueError("sector size must be positive")
-        self.sector_size = sector_size
-        self._by_sector: Dict[int, bytes] = {}
-        self._zero = bytes(sector_size)
-
-    def read_range(self, start: int, n_sectors: int) -> bytes:
-        zero = self._zero
-        return b"".join(
-            self._by_sector.get(sector, zero)
-            for sector in range(start, start + n_sectors)
-        )
-
-    def write_range(self, start: int, data: bytes, n_sectors: int) -> None:
-        size = self.sector_size
-        for index in range(max(0, n_sectors)):
-            offset = index * size
-            self._by_sector[start + index] = bytes(data[offset : offset + size])
-
-    def xor_byte(self, sector: int, byte_offset: int, mask: int) -> None:
-        current = bytearray(self._by_sector.get(sector, self._zero))
-        current[byte_offset] ^= mask
-        self._by_sector[sector] = bytes(current)
-
-    def chunk_count(self) -> int:
-        return len(self._by_sector)
-
-    def __repr__(self) -> str:
-        return f"LegacySectorStore({len(self._by_sector)} sectors)"

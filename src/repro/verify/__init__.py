@@ -2,10 +2,9 @@
 
 Home of :mod:`repro.verify.fsck`, the read-only volume checker.  The
 implementation lives *below* the operator-tooling and chaos layers on
-purpose: both ``repro.tools`` (the ``fsck`` CLI surface) and
+purpose: both ``repro.tools`` (the operator surface) and
 ``repro.chaos`` (post-crash admissibility invariants) consume it, and
-the layer DAG forbids ``chaos`` → ``tools``.  ``repro.tools.fsck``
-re-exports everything here, so operator-facing imports are unchanged.
+the layer DAG forbids ``chaos`` → ``tools``.
 """
 
 from repro.verify.fsck import (

@@ -1,40 +1,92 @@
-"""The availability campaign: determinism, SLO verdicts, CLI surface."""
+"""The availability campaign: committed spec, SLO verdicts, CLI surface."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.chaos.availability import (
-    RAID_SCENARIOS,
-    RAID_SMOKE,
     SCENARIOS,
-    SCRUB_SCENARIOS,
-    SCRUB_SMOKE,
-    SHARD_SCENARIOS,
-    SHARD_SMOKE,
-    SMOKE_SCENARIOS,
+    SCRUB_MAX_CYCLES,
+    SCRUB_TARGETS,
+    decode_version,
     recovery_allowance_us,
     run_campaign,
     run_scenario,
+    version_content,
 )
+from repro.replication.service import ReplicationService
+
+#: The committed campaign report: ``--all`` must reproduce it byte for
+#: byte, so every scenario's report is part of the behavioural spec.
+COMMITTED = Path(__file__).resolve().parents[2] / "AVAILABILITY_pr10.json"
 
 
 def by_name(name):
     return next(s for s in SCENARIOS if s.name == name)
 
 
-class TestScenarioCatalogue:
-    def test_smoke_is_a_subset(self):
-        names = {scenario.name for scenario in SCENARIOS}
-        assert set(SMOKE_SCENARIOS) <= names
+@pytest.fixture(scope="module")
+def reports():
+    """Run each scenario at most once per module; returns a getter."""
+    cache = {}
 
+    def get(name):
+        if name not in cache:
+            cache[name] = run_scenario(by_name(name))
+        return cache[name]
+
+    return get
+
+
+class TestCommittedArtifact:
+    @pytest.mark.parametrize("name", [s.name for s in SCENARIOS])
+    def test_matches_committed(self, reports, name):
+        # Determinism and behaviour at once: the scenario reproduces its
+        # committed entry exactly, in JSON form.
+        committed = json.loads(COMMITTED.read_text())["scenarios"][name]
+        assert json.loads(json.dumps(reports(name))) == committed
+
+    def test_catalogue_is_the_committed_set(self):
+        committed = json.loads(COMMITTED.read_text())["scenarios"]
+        assert sorted(s.name for s in SCENARIOS) == sorted(committed)
+
+
+class TestVersionCodec:
+    def test_decode_accepts_one_unacked_version_past_the_reference(self):
+        # An applied-but-unacked write one past the reference, on a file
+        # past 250 acked versions, is version 301 — not its alias 50.
+        assert decode_version(version_content(301, 96), 300) == 301
+        assert decode_version(version_content(299, 96), 300) == 299
+        # Writes go one version at a time, so that is the only forward
+        # drift: a read 200 behind the acked version is stale, not 51
+        # ahead of it.
+        assert decode_version(version_content(100, 96), 300) == 100
+        assert decode_version(version_content(150, 96), 300) == 150
+
+    def test_decode_round_trips_near_the_reference(self):
+        for reference in (0, 1, 124, 125, 126, 250, 251, 1000):
+            # 250 behind aliases one ahead, which wins.
+            low = max(0, reference - 249)
+            for version in range(low, reference + 2):
+                data = version_content(version, 8)
+                assert decode_version(data, reference) == version
+
+    def test_decode_rejects_torn_and_foreign_content(self):
+        assert decode_version(b"", 3) is None
+        assert decode_version(b"\x05\x06", 3) is None
+        assert decode_version(b"\x00" * 4, 3) is None
+
+
+class TestScenarioCatalogue:
     def test_names_unique(self):
         names = [scenario.name for scenario in SCENARIOS]
         assert len(names) == len(set(names))
 
     def test_allowance_is_parametric(self):
         scenario = by_name("clean_restarts")
-        allowance = recovery_allowance_us(scenario)
+        allowance = recovery_allowance_us(scenario, scenario.config["fault_profile"])
         # The bound is built from configured constants: breaker
         # cooldown plus one worst-case slow call plus slack — so it
         # moves when the policies move, never by empirical tuning.
@@ -43,11 +95,9 @@ class TestScenarioCatalogue:
 
 
 class TestCleanRestarts:
-    """One full scenario execution, shared across the assertions."""
-
-    @pytest.fixture(scope="class")
-    def report(self):
-        return run_scenario(by_name("clean_restarts"))
+    @pytest.fixture
+    def report(self, reports):
+        return reports("clean_restarts")
 
     def test_passes_its_slo(self, report):
         assert report["status"] == "pass"
@@ -72,52 +122,33 @@ class TestCleanRestarts:
     def test_unavailability_bounded(self, report):
         unavailability = report["unavailability"]
         assert unavailability["out_of_bound"] == []
-        allowance = recovery_allowance_us(by_name("clean_restarts"))
+        scenario = by_name("clean_restarts")
+        allowance = recovery_allowance_us(scenario, scenario.config["fault_profile"])
         assert unavailability["allowance_us"] == allowance
-
-    def test_deterministic_and_json_clean(self, report):
-        # Byte-for-byte reproducibility is the whole contract: the
-        # same scenario serialises identically on a second run.
-        again = run_scenario(by_name("clean_restarts"))
-        assert json.dumps(report, sort_keys=True) == json.dumps(
-            again, sort_keys=True
-        )
 
 
 class TestScrubScenarios:
-    """PR 6: the two media-failure scenarios and their SLOs."""
+    """The two media-failure scenarios and their SLOs."""
 
-    @pytest.fixture(scope="class")
-    def rot_report(self):
-        return run_scenario(next(
-            s for s in SCRUB_SCENARIOS if s.name == "scrub_latent_rot"
-        ))
+    @pytest.fixture
+    def rot_report(self, reports):
+        return reports("scrub_latent_rot")
 
-    @pytest.fixture(scope="class")
-    def media_report(self):
-        return run_scenario(next(
-            s for s in SCRUB_SCENARIOS if s.name == "scrub_media_errors"
-        ))
-
-    def test_scrub_smoke_names_the_catalogue(self):
-        assert set(SCRUB_SMOKE) == {s.name for s in SCRUB_SCENARIOS}
-        # No collisions with the crash/restart scenario namespace.
-        assert not set(SCRUB_SMOKE) & {s.name for s in SCENARIOS}
+    @pytest.fixture
+    def media_report(self, reports):
+        return reports("scrub_media_errors")
 
     def test_rot_scenario_passes_both_slos(self, rot_report):
         assert rot_report["status"] == "pass"
         assert rot_report["violations"] == []
 
     def test_injected_corruptions_all_found_and_repaired(self, rot_report):
-        scenario = next(
-            s for s in SCRUB_SCENARIOS if s.name == "scrub_latent_rot"
-        )
         injected = set(rot_report["injected"]["fragments"])
-        assert len(injected) == scenario.targets
+        assert len(injected) == SCRUB_TARGETS
         found = {start for _, _, _, start, _, _ in rot_report["findings"]}
         assert injected <= found
         # SLO-1: the volume is clean within the bounded cycle budget.
-        assert 1 <= rot_report["cycles_to_clean"] <= scenario.max_cycles
+        assert 1 <= rot_report["cycles_to_clean"] <= SCRUB_MAX_CYCLES
 
     def test_repairs_used_both_redundancy_tiers(self, rot_report):
         counters = rot_report["counters"]
@@ -145,34 +176,37 @@ class TestScrubScenarios:
             kind == "media" for _, _, kind, _, _, _ in media_report["findings"]
         )
 
-    def test_scrub_reports_are_deterministic(self, rot_report):
-        again = run_scenario(next(
-            s for s in SCRUB_SCENARIOS if s.name == "scrub_latent_rot"
-        ))
-        assert json.dumps(rot_report, sort_keys=True) == json.dumps(
-            again, sort_keys=True
+    def test_replica_left_stale_by_scrub_repair_fails(self, monkeypatch):
+        # A quarantine that marks the damaged replicas stale but never
+        # resyncs them must fail the repair SLO: the check sees the
+        # state exactly as the scrubber left it, with no later resync.
+        def quarantine_without_resync(self, volume_id):
+            for replica_set in self._sets.values():
+                if any(n.volume_id == volume_id for n in replica_set.replicas):
+                    replica_set.stale.add(volume_id)
+            return 0
+
+        monkeypatch.setattr(
+            ReplicationService, "quarantine_volume_media", quarantine_without_resync
+        )
+        report = run_scenario(by_name("scrub_latent_rot"))
+        assert report["status"] == "fail"
+        assert any(
+            "replicas still stale after scrub repair" in violation
+            for violation in report["violations"]
         )
 
 
 class TestRaidScenarios:
-    """PR 9: the two RAID-tier scenarios and their SLOs."""
+    """The two RAID-tier scenarios and their SLOs."""
 
-    @pytest.fixture(scope="class")
-    def loss_report(self):
-        return run_scenario(next(
-            s for s in RAID_SCENARIOS if s.name == "raid_member_loss"
-        ))
+    @pytest.fixture
+    def loss_report(self, reports):
+        return reports("raid_member_loss")
 
-    @pytest.fixture(scope="class")
-    def interrupted_report(self):
-        return run_scenario(next(
-            s for s in RAID_SCENARIOS if s.name == "raid_rebuild_interrupted"
-        ))
-
-    def test_raid_smoke_names_the_catalogue(self):
-        assert set(RAID_SMOKE) == {s.name for s in RAID_SCENARIOS}
-        taken = {s.name for s in SCENARIOS} | {s.name for s in SCRUB_SCENARIOS}
-        assert not set(RAID_SMOKE) & taken
+    @pytest.fixture
+    def interrupted_report(self, reports):
+        return reports("raid_rebuild_interrupted")
 
     def test_member_loss_passes_its_slo(self, loss_report):
         assert loss_report["status"] == "pass"
@@ -227,38 +261,17 @@ class TestRaidScenarios:
         assert finale["reads_refused"] > 0
         assert finale["health_down"] is True
 
-    def test_raid_reports_are_deterministic(self, loss_report):
-        again = run_scenario(next(
-            s for s in RAID_SCENARIOS if s.name == "raid_member_loss"
-        ))
-        assert json.dumps(loss_report, sort_keys=True) == json.dumps(
-            again, sort_keys=True
-        )
-
 
 class TestShardScenarios:
-    """PR 10: the two sharded-namespace scenarios and their SLOs."""
+    """The two sharded-namespace scenarios and their SLOs."""
 
-    @pytest.fixture(scope="class")
-    def storm_report(self):
-        return run_scenario(next(
-            s for s in SHARD_SCENARIOS if s.name == "shard_death_metadata_storm"
-        ))
+    @pytest.fixture
+    def storm_report(self, reports):
+        return reports("shard_death_metadata_storm")
 
-    @pytest.fixture(scope="class")
-    def rebalance_report(self):
-        return run_scenario(next(
-            s for s in SHARD_SCENARIOS if s.name == "rebalance_interrupted"
-        ))
-
-    def test_shard_smoke_names_the_catalogue(self):
-        assert set(SHARD_SMOKE) == {s.name for s in SHARD_SCENARIOS}
-        taken = (
-            {s.name for s in SCENARIOS}
-            | {s.name for s in SCRUB_SCENARIOS}
-            | {s.name for s in RAID_SCENARIOS}
-        )
-        assert not set(SHARD_SMOKE) & taken
+    @pytest.fixture
+    def rebalance_report(self, reports):
+        return reports("rebalance_interrupted")
 
     def test_storm_passes_its_slo(self, storm_report):
         assert storm_report["status"] == "pass"
@@ -296,13 +309,15 @@ class TestShardScenarios:
         # Not one resolve missed at any watermark position.
         assert rebalance_report["ops"]["failed_resolves"] == 0
 
-    def test_shard_reports_are_deterministic(self, storm_report):
-        again = run_scenario(next(
-            s for s in SHARD_SCENARIOS if s.name == "shard_death_metadata_storm"
-        ))
-        assert json.dumps(storm_report, sort_keys=True) == json.dumps(
-            again, sort_keys=True
+    def test_window_check_runs_without_a_bus(self):
+        # The rebalance cluster has no fault profile (direct calls), so
+        # the recovery allowance takes no bus latency.
+        scenario = dataclasses.replace(
+            by_name("rebalance_interrupted"),
+            checks=("bindings_converged", "failures_in_windows"),
         )
+        assert run_scenario(scenario)["violations"] == []
+        assert recovery_allowance_us(scenario, None) > 150_000
 
 
 class TestCampaign:

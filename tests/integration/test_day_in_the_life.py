@@ -18,7 +18,7 @@ from repro.naming.attributed import AttributedName
 from repro.naming.tdirectory import TransactionalDirectory
 from repro.simdisk.geometry import DiskGeometry
 from repro.tools.backup import dump_volume, restore_volume
-from repro.tools.fsck import fsck_volume
+from repro.verify.fsck import fsck_volume
 from repro.workloads.transactions import make_accounts_file, total_balance
 
 

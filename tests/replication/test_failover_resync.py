@@ -9,7 +9,7 @@ from repro.naming.attributed import AttributedName
 from repro.naming.service import NamingService
 from repro.recovery.health import HealthRegistry, HealthState
 from repro.replication.service import ReplicationService, volume_component
-from repro.tools.fsck import sweep_replication_orphans
+from repro.verify.fsck import sweep_replication_orphans
 from tests.conftest import build_file_server
 
 NAME = AttributedName.file("/replicated/data")

@@ -11,7 +11,8 @@ never-written space — and requires byte-identical results throughout.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simdisk.store import LegacySectorStore, SectorStore
+from repro.simdisk.store import SectorStore
+from tests.simdisk.legacy_store import LegacySectorStore
 
 SECTOR = 512
 #: Small chunk size so sequences routinely cross chunk boundaries.

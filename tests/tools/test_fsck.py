@@ -6,7 +6,7 @@ from repro.common.clock import SimClock
 from repro.common.metrics import Metrics
 from repro.common.units import BLOCK_SIZE
 from repro.disk_service.addresses import Extent
-from repro.tools.fsck import fsck_volume, verify_checksums
+from repro.verify.fsck import fsck_volume, verify_checksums
 from tests.conftest import build_file_server
 
 
